@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 
-from .covariance import CovarianceSpec, inverse_covariance
+from .covariance import CONDITION_LIMIT, CovarianceSpec, inverse_covariance
 from .errors import (
     ConditioningError,
     DegenerateFeatureError,
@@ -32,8 +33,6 @@ from .errors import (
 
 PI1 = "pi1"
 PI2 = "pi2"
-
-CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -114,9 +113,12 @@ def _factor_scatter(A: np.ndarray):
         factor = cho_factor(A, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"pooled scatter is singular: {exc}") from exc
-    d = np.diag(factor[0])
-    cond_est = (d.max() / d.min()) ** 2
-    if cond_est > CONDITION_LIMIT:
+    # LAPACK's 1-norm condition estimate from the Cholesky factor
+    rcond, info = dpocon(factor[0], np.abs(A).sum(axis=0).max(), uplo="L")
+    if info != 0:
+        raise ConditioningError(f"dpocon failed with info = {info}")
+    if rcond * CONDITION_LIMIT < 1.0:
+        cond_est = 1.0 / rcond if rcond > 0 else np.inf
         raise ConditioningError(
             f"pooled scatter condition estimate {cond_est:.3g} exceeds "
             f"{CONDITION_LIMIT:g}; p/n too close to 1"

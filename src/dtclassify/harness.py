@@ -5,11 +5,18 @@ delocalized scenario, optionally a fresh second mean vector), fits once,
 and scores every requested classifier. Replications are independent work
 units: each derives its own RNG stream from (master_seed, rep_index), so
 results are bit-identical regardless of how many workers execute them.
+
+Every replication runs on one BLAS thread: its matrices are small
+(p <= 500), so OpenBLAS threads cost more than they save, and with
+``workers > 1`` they would compete with the pool for the same cores.
+Parallelism comes from the workers alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -46,6 +53,58 @@ CLASSIFIER_IDS = ("d", "t", "nb", "oracle")
 # RNG stream layout: replication r uses [master_seed, r]; the reserved
 # stream below draws a fixed delocalized mu2 when redraw_mu2 is off.
 FIXED_MU_STREAM = 2**32 - 1
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy
+# load: scipy-openblas with 64-bit and with 32-bit integers, then plain
+# OpenBLAS likewise.
+OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_controls() -> dict[str, tuple]:
+    """{library file name: (get, set) thread functions} per loaded OpenBLAS."""
+    paths = set()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            for line in fh:
+                path = line.split()[-1]
+                if "openblas" in os.path.basename(path).lower():
+                    paths.add(path)
+    except FileNotFoundError:  # no procfs: leave BLAS as it is
+        return {}
+    controls = {}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in OPENBLAS_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls[os.path.basename(path)] = (get, put)
+                break
+    return controls
+
+
+def _pin_one_blas_thread() -> list[tuple]:
+    """Set every loaded OpenBLAS to one thread; return (set, old count) pairs.
+
+    Only libraries not at one thread already are set: in a forked child,
+    which starts without OpenBLAS's worker threads, setting any count
+    starts them again, and they slow every replication there. Also the
+    pool initializer, so workers stay pinned under any start method.
+    """
+    previous = []
+    for get, put in _openblas_controls().values():
+        count = get()
+        if count != 1:
+            put(1)
+            previous.append((put, count))
+    return previous
 
 
 @dataclass(frozen=True)
@@ -137,8 +196,13 @@ def _fixed_mu2(config: ExperimentConfig) -> np.ndarray | None:
 def run_replication(config: ExperimentConfig, rep_index: int,
                     gamma: MixingMatrix | None = None,
                     fixed_mu2: np.ndarray | None = None,
+                    scale: float | None = None,
                     ) -> dict[str, tuple[int, int]]:
-    """One replication; returns per-classifier (group-1, group-2) miscounts."""
+    """One replication; returns per-classifier (group-1, group-2) miscounts.
+
+    ``gamma``, ``fixed_mu2`` and ``scale`` depend on the config only; a
+    caller running many replications computes them once and passes them.
+    """
     rng = np.random.default_rng([config.master_seed, rep_index])
     if gamma is None:
         gamma = MixingMatrix.from_spec(config.covariance)
@@ -148,7 +212,8 @@ def run_replication(config: ExperimentConfig, rep_index: int,
     if fixed_mu2 is not None:
         mu2 = fixed_mu2
     else:
-        mu2 = make_scenario_means(config.scenario, config.covariance, rng)[1]
+        mu2 = make_scenario_means(config.scenario, config.covariance, rng,
+                                  scale)[1]
     pair = PopulationPair(mu1, mu2, config.covariance, gamma,
                           config.innovation1, config.innovation2)
 
@@ -194,20 +259,36 @@ def _run_chunk(args) -> list[dict[str, tuple[int, int]]]:
     config, indices = args
     gamma = MixingMatrix.from_spec(config.covariance)
     fixed = _fixed_mu2(config)
-    return [run_replication(config, r, gamma, fixed) for r in indices]
+    scale = (delocalized_scale(config.scenario, config.covariance)
+             if fixed is None else None)
+    return [run_replication(config, r, gamma, fixed, scale) for r in indices]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1
                    ) -> ExperimentResult:
-    """Run all replications and aggregate medians / standard errors."""
+    """Run all replications and aggregate medians / standard errors.
+
+    Runs with every loaded OpenBLAS on one thread and restores the
+    caller's thread counts on return or on error.
+    """
     if config.reps < 1:
         raise DomainError("reps must be >= 1")
+    previous = _pin_one_blas_thread()
+    try:
+        return _run_pinned(config, workers)
+    finally:
+        for put, count in previous:
+            put(count)
+
+
+def _run_pinned(config: ExperimentConfig, workers: int) -> ExperimentResult:
     indices = list(range(config.reps))
     if workers <= 1 or config.reps == 1:
         counts = _run_chunk((config, indices))
     else:
         chunks = [(config, indices[i::workers]) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_pin_one_blas_thread) as pool:
             parts = list(pool.map(_run_chunk, chunks))
         # reassemble in replication order regardless of scheduling
         counts = [None] * config.reps

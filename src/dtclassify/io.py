@@ -269,6 +269,32 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]):
                 row.get(col), str) else row[col] for col in columns) + "\n")
 
 
+def _innovation_record(spec: InnovationSpec) -> dict:
+    return {"kind": spec.kind, "df": spec.df, "negate": spec.negate}
+
+
+def config_record(config: ExperimentConfig) -> dict:
+    """Every field needed to re-run the experiment, as JSON-ready values."""
+    sigmas = config.covariance.sigmas
+    mu2 = config.mu2_override
+    return {
+        "p": config.p, "n1": config.n1, "n2": config.n2,
+        "m1": config.test1, "m2": config.test2, "reps": config.reps,
+        "seed": config.master_seed,
+        "covariance": {"kind": config.covariance.kind,
+                       "rho": config.covariance.rho,
+                       "sigmas": None if sigmas is None else sigmas.tolist()},
+        "scenario": {"kind": config.scenario.kind,
+                     "n0": config.scenario.n0,
+                     "redraw_mu2": config.scenario.redraw_mu2},
+        "innovation1": _innovation_record(config.innovation1),
+        "innovation2": _innovation_record(config.innovation2),
+        "classifiers": list(config.classifiers),
+        "theory_overlay": config.theory_overlay,
+        "mu2_override": None if mu2 is None else mu2.tolist(),
+    }
+
+
 def emit_results(result: ExperimentResult, formats, out_dir,
                  experiment_id: str = "experiment") -> list[Path]:
     """Write the aggregate CSV and the full JSON mirror of a result."""
@@ -293,18 +319,7 @@ def emit_results(result: ExperimentResult, formats, out_dir,
     if "json" in formats:
         payload = {
             "experiment_id": experiment_id,
-            "config": json.loads(json.dumps({
-                "p": result.config.p, "n1": result.config.n1,
-                "n2": result.config.n2, "m1": result.config.test1,
-                "m2": result.config.test2, "reps": result.config.reps,
-                "seed": result.config.master_seed,
-                "covariance": {"kind": result.config.covariance.kind,
-                               "rho": result.config.covariance.rho},
-                "scenario": {"kind": result.config.scenario.kind,
-                             "n0": result.config.scenario.n0,
-                             "redraw_mu2": result.config.scenario.redraw_mu2},
-                "classifiers": list(result.config.classifiers),
-            })),
+            "config": config_record(result.config),
             "classifiers": {
                 clf: {
                     "median_error_pct": r.median_error_pct,

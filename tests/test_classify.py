@@ -6,6 +6,7 @@ import pytest
 from dtclassify.classify import (
     PI1,
     PI2,
+    _factor_scatter,
     d_criterion,
     d_criterion_det,
     d_statistics,
@@ -17,6 +18,7 @@ from dtclassify.classify import (
 )
 from dtclassify.covariance import CovarianceSpec
 from dtclassify.errors import (
+    ConditioningError,
     DegenerateFeatureError,
     DomainError,
     SingularityError,
@@ -58,6 +60,15 @@ class TestFit:
         # without the scatter the same data are fine
         stats = fit(X, Y, need_scatter=False)
         assert stats.pooled_scatter is None
+
+    def test_ill_conditioned_scatter_rejected(self):
+        # cond(L L') is about 1e16 while diag(L) = (1, 1) looks perfect
+        L = np.array([[1.0, 0.0], [1e4, 1.0]])
+        with pytest.raises(ConditioningError):
+            _factor_scatter(L @ L.T)
+        # a well-conditioned scatter keeps its factor
+        factor, lower = _factor_scatter(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert lower and np.allclose(factor[1, 1], np.sqrt(1.5))
 
     def test_pooled_variances(self):
         rng = np.random.default_rng(1)

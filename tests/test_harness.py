@@ -1,11 +1,16 @@
 """Monte Carlo harness: configs, determinism, and sanity of the errors."""
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from dtclassify import classify, harness
 from dtclassify.covariance import CovarianceSpec
 from dtclassify.data import LabeledDataset
-from dtclassify.errors import DomainError, SingularityError
+from dtclassify.errors import ConditioningError, DomainError, SingularityError
 from dtclassify.harness import (
     ExperimentConfig,
     classify_dataset,
@@ -136,6 +141,70 @@ class TestReplications:
         manual = (np.sum((X - X.mean(0)) ** 2, 0)
                   + np.sum((Y - Y.mean(0)) ** 2, 0)) / 20
         assert np.allclose(pooled_variances_from_data(X, Y), manual)
+
+
+def blas_threads() -> dict[str, int]:
+    return {name: get() for name, (get, _) in
+            harness._openblas_controls().items()}
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def two_threads(self):
+        """Every loaded OpenBLAS at 2 threads for the test, then as before."""
+        controls = harness._openblas_controls()
+        assert controls, "no OpenBLAS found in this process"
+        before = {name: get() for name, (get, _) in controls.items()}
+        for _, put in controls.values():
+            put(2)
+        yield
+        for name, (_, put) in controls.items():
+            put(before[name])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replications_run_on_one_thread(self, two_threads, monkeypatch,
+                                            workers):
+        real = harness.run_replication
+        caller = os.getpid()
+
+        def checked(*args):
+            # runs in the pool children too: they are forked after the patch
+            threads = blas_threads()
+            if not threads or set(threads.values()) != {1}:
+                raise AssertionError(f"BLAS threads in replication: {threads}")
+            # and a pool child has started no idle OpenBLAS worker threads
+            tasks = len(os.listdir("/proc/self/task"))
+            if os.getpid() != caller and tasks != 1:
+                raise AssertionError(f"{tasks} threads in a pool worker")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "run_replication", checked)
+        config = small_config(reps=6)
+        result = run_experiment(config, workers=workers)
+        assert len(result.classifiers["d"].per_rep_errors) == 6
+
+    def test_pool_initializer_pins_spawned_workers(self):
+        # a spawned worker imports numpy afresh, at OpenBLAS's default
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(1, mp_context=ctx,
+                                 initializer=harness._pin_one_blas_thread
+                                 ) as pool:
+            threads = pool.submit(blas_threads).result(timeout=120)
+        assert threads and set(threads.values()) == {1}
+
+    def test_caller_threads_restored_after_return(self, two_threads):
+        run_experiment(small_config(reps=3), workers=2)
+        assert set(blas_threads().values()) == {2}
+
+    def test_caller_threads_restored_after_error(self, two_threads,
+                                                 monkeypatch):
+        def ill_conditioned(*args, **kwargs):
+            raise ConditioningError("forced")
+
+        monkeypatch.setattr(classify, "fit", ill_conditioned)
+        with pytest.raises(ConditioningError, match="replication 0"):
+            run_experiment(small_config(reps=3))
+        assert set(blas_threads().values()) == {2}
 
 
 class TestTheoryOverlay:

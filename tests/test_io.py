@@ -183,6 +183,64 @@ class TestEmitResults:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_json_config_reruns_the_experiment(self, tmp_path):
+        path = write(tmp_path, """\
+[experiment]
+p = 3
+n1 = 10
+n2 = 12
+m1 = 6
+m2 = 7
+reps = 4
+seed = 5
+
+[covariance]
+kind = diagonal
+sigmas = 1,2,3
+
+[scenario]
+kind = localized
+n0 = 2
+
+[innovation]
+kind = student_t
+df = 9
+kind2 = gamma_shifted
+negate2 = true
+""")
+        from dtclassify.cli import main
+
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(tmp_path), "--formats", "json"]) == 0
+        record = json.loads(
+            (tmp_path / "experiment_result.json").read_text())["config"]
+        cov = record["covariance"]
+        rebuilt = ExperimentConfig(
+            p=record["p"], n1=record["n1"], n2=record["n2"],
+            m1=record["m1"], m2=record["m2"], reps=record["reps"],
+            master_seed=record["seed"],
+            covariance=CovarianceSpec(cov["kind"], record["p"],
+                                      rho=cov["rho"], sigmas=cov["sigmas"]),
+            scenario=ScenarioSpec(**record["scenario"]),
+            innovation1=InnovationSpec(**record["innovation1"]),
+            innovation2=InnovationSpec(**record["innovation2"]),
+            classifiers=tuple(record["classifiers"]),
+            theory_overlay=record["theory_overlay"],
+            mu2_override=record["mu2_override"],
+        )
+        assert rebuilt == dtio.parse_config(path)
+
+    def test_json_records_mu2_override(self, tmp_path):
+        config = ExperimentConfig(
+            p=3, n1=10, n2=10, covariance=CovarianceSpec.identity(3),
+            scenario=ScenarioSpec("delocalized", 1), reps=2, master_seed=1,
+            mu2_override=[1.0, 0.5, 0.25],
+        )
+        (path,) = dtio.emit_results(run_experiment(config), ("json",),
+                                    tmp_path)
+        record = json.loads(path.read_text())["config"]
+        assert record["mu2_override"] == [1.0, 0.5, 0.25]
+
     def test_fmt_roundtrips_floats(self):
         for value in (0.1, 1 / 3, 12.5, 1e-17):
             assert float(dtio.fmt(value)) == value

@@ -113,6 +113,10 @@ class TestScenarios:
                                        spec, rng)
         assert np.array_equal(mu1, np.zeros(125))
         assert np.all(mu2 > e / 2) and np.all(mu2 < 3 * e / 2)
+        # a scale passed in draws the same stream as one computed inside
+        _, again = make_scenario_means(ScenarioSpec("delocalized", 10), spec,
+                                       np.random.default_rng(13), e)
+        assert np.array_equal(again, mu2)
 
     @pytest.mark.parametrize("spec", [
         CovarianceSpec.identity(50),
