@@ -2,6 +2,8 @@
 high-dimensional data, with asymptotic misclassification theory and a
 reproducible Monte Carlo harness."""
 
+__version__ = "0.1.0"  # set before the submodules, which read it
+
 from .classify import (
     Decision,
     TrainedStats,
@@ -52,8 +54,6 @@ from .theory import (
     theta1,
     theta2,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CovarianceSpec", "MixingMatrix", "beta_squared", "build_covariance",

@@ -7,7 +7,10 @@ resolve to group 1 for reproducibility).
 
 * ``d_criterion``     -- compares quadratic forms against the pooled scatter
   inverse; equivalent (matrix determinant lemma) to comparing determinants
-  of the two augmented scatter matrices.
+  of the two augmented scatter matrices. With A = L L' and
+  z - ybar = (z - xbar) + (xbar - ybar), both forms come from one
+  triangular solve, W = L^-1 (z - xbar), and v = L^-1 (xbar - ybar):
+  ||W||^2 and ||W + v||^2.
 * ``d_criterion_det`` -- the direct determinant comparison; O(p^3) per query
   and kept public as a cross-check oracle.
 * ``t_criterion``     -- alpha-weighted squared distances to the group means.
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, solve_triangular
 from scipy.linalg.lapack import dpocon
 
 from .covariance import CONDITION_LIMIT, CovarianceSpec, inverse_covariance
@@ -99,10 +102,9 @@ def fit(X, Y, need_scatter: bool = True) -> TrainedStats:
                 f"the D-criterion needs p < n1+n2-2 so the pooled scatter is "
                 f"invertible; got p = {p}, n1+n2-2 = {n1 + n2 - 2}"
             )
-        Xc = X - stats.mean_x
-        Yc = Y - stats.mean_y
-        A = Xc.T @ Xc + Yc.T @ Yc
-        A = (A + A.T) / 2.0
+        # one product C'C, which numpy computes with syrk: exactly symmetric
+        C = np.vstack([X - stats.mean_x, Y - stats.mean_y])
+        A = C.T @ C
         stats.pooled_scatter = A
         stats._chol = _factor_scatter(A)
     return stats
@@ -127,15 +129,23 @@ def _factor_scatter(A: np.ndarray):
 
 
 def d_statistics(stats: TrainedStats, Z) -> np.ndarray:
-    """Vectorized D-criterion statistics for rows of Z."""
+    """Vectorized D-criterion statistics for rows of Z.
+
+    alpha1 (z-xbar)' A^-1 (z-xbar) - alpha2 (z-ybar)' A^-1 (z-ybar), from
+    one triangular solve with the Cholesky factor A = L L':
+    W = L^-1 (Z - xbar)' and v = L^-1 (xbar - ybar) give the two forms as
+    the squared column norms of W and of W + v.
+    """
     if stats._chol is None:
         raise SingularityError("stats carry no pooled scatter; fit with "
                                "need_scatter=True")
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    Rx = Z - stats.mean_x
-    Ry = Z - stats.mean_y
-    qx = np.einsum("ij,ij->i", Rx, cho_solve(stats._chol, Rx.T).T)
-    qy = np.einsum("ij,ij->i", Ry, cho_solve(stats._chol, Ry.T).T)
+    L = stats._chol[0]
+    W = solve_triangular(L, (Z - stats.mean_x).T, lower=True)
+    v = solve_triangular(L, stats.mean_x - stats.mean_y, lower=True)
+    qx = np.einsum("ij,ij->j", W, W)
+    W += v[:, None]  # now L^-1 (Z - ybar)'
+    qy = np.einsum("ij,ij->j", W, W)
     return stats.alpha1 * qx - stats.alpha2 * qy
 
 
@@ -197,11 +207,19 @@ def naive_bayes(stats: TrainedStats, pooled_variances, z) -> Decision:
     )
 
 
-def oracle_statistics(mu1, mu2, sigma: CovarianceSpec, Z) -> np.ndarray:
+def oracle_statistics(mu1, mu2, sigma: CovarianceSpec, Z,
+                      sigma_inv: np.ndarray | None = None) -> np.ndarray:
+    """Fisher's rule with the true parameters.
+
+    ``sigma_inv`` is Sigma^-1 when the caller already holds it; it depends
+    on ``sigma`` only, so a caller scoring many samples builds it once.
+    """
     mu1 = np.asarray(mu1, dtype=float)
     mu2 = np.asarray(mu2, dtype=float)
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    w = inverse_covariance(sigma) @ (mu1 - mu2)
+    if sigma_inv is None:
+        sigma_inv = inverse_covariance(sigma)
+    w = sigma_inv @ (mu1 - mu2)
     score = (Z - (mu1 + mu2) / 2.0) @ w
     return -score
 

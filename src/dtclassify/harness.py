@@ -27,6 +27,7 @@ from .covariance import (
     CovarianceSpec,
     MixingMatrix,
     build_covariance,
+    inverse_covariance,
     mahalanobis,
 )
 from .errors import DomainError, NumericalError, SingularityError
@@ -197,11 +198,13 @@ def run_replication(config: ExperimentConfig, rep_index: int,
                     gamma: MixingMatrix | None = None,
                     fixed_mu2: np.ndarray | None = None,
                     scale: float | None = None,
+                    sigma_inv: np.ndarray | None = None,
                     ) -> dict[str, tuple[int, int]]:
     """One replication; returns per-classifier (group-1, group-2) miscounts.
 
-    ``gamma``, ``fixed_mu2`` and ``scale`` depend on the config only; a
-    caller running many replications computes them once and passes them.
+    ``gamma``, ``fixed_mu2``, ``scale`` and ``sigma_inv`` (Sigma^-1, for
+    the oracle) depend on the config only; a caller running many
+    replications computes them once and passes them.
     """
     rng = np.random.default_rng([config.master_seed, rep_index])
     if gamma is None:
@@ -236,7 +239,8 @@ def run_replication(config: ExperimentConfig, rep_index: int,
                 variances = pooled_variances_from_data(X, Y)
                 s = classify.naive_bayes_statistics(stats, variances, Z)
             else:
-                s = classify.oracle_statistics(mu1, mu2, config.covariance, Z)
+                s = classify.oracle_statistics(mu1, mu2, config.covariance, Z,
+                                               sigma_inv)
             mis1 = int(np.sum(s[:config.test1] > 0))
             mis2 = int(np.sum(s[config.test1:] <= 0))
             out[clf] = (mis1, mis2)
@@ -261,7 +265,10 @@ def _run_chunk(args) -> list[dict[str, tuple[int, int]]]:
     fixed = _fixed_mu2(config)
     scale = (delocalized_scale(config.scenario, config.covariance)
              if fixed is None else None)
-    return [run_replication(config, r, gamma, fixed, scale) for r in indices]
+    sigma_inv = (inverse_covariance(config.covariance)
+                 if "oracle" in config.classifiers else None)
+    return [run_replication(config, r, gamma, fixed, scale, sigma_inv)
+            for r in indices]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1

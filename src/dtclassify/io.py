@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .covariance import CovarianceSpec
 from .errors import ConfigError
 from .harness import CLASSIFIER_IDS, ExperimentConfig, ExperimentResult
@@ -319,6 +320,7 @@ def emit_results(result: ExperimentResult, formats, out_dir,
     if "json" in formats:
         payload = {
             "experiment_id": experiment_id,
+            "dtclassify_version": __version__,
             "config": config_record(result.config),
             "classifiers": {
                 clf: {

@@ -70,6 +70,17 @@ class TestFit:
         factor, lower = _factor_scatter(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert lower and np.allclose(factor[1, 1], np.sqrt(1.5))
 
+    @pytest.mark.parametrize("p", [1, 5, 125, 450])
+    def test_scatter_is_the_pooled_sum_and_exactly_symmetric(self, p):
+        rng = np.random.default_rng(30 + p)
+        X, Y = make_groups(rng, 250, 250, p)
+        A = fit(X, Y).pooled_scatter
+        Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
+        reference = Xc.T @ Xc + Yc.T @ Yc
+        np.testing.assert_allclose(A, reference, rtol=1e-12,
+                                   atol=1e-12 * np.abs(reference).max())
+        assert np.array_equal(A, A.T)
+
     def test_pooled_variances(self):
         rng = np.random.default_rng(1)
         X, Y = make_groups(rng, 20, 20, 4)
@@ -128,6 +139,26 @@ class TestDCriterion:
         batch = d_statistics(stats, Z)
         singles = [d_criterion(stats, z).statistic for z in Z]
         assert np.allclose(batch, singles)
+
+    @pytest.mark.parametrize("p", [1, 5, 125, 450])
+    def test_matches_dense_solve(self, p):
+        # the reference forms each use a dense solve with A itself
+        rng = np.random.default_rng(40 + p)
+        X, Y = make_groups(rng, 250, 250, p, shift=0.2)
+        stats = fit(X, Y)
+        A = stats.pooled_scatter
+
+        def dense(Z):
+            Rx, Ry = Z - stats.mean_x, Z - stats.mean_y
+            qx = np.sum(Rx * np.linalg.solve(A, Rx.T).T, axis=1)
+            qy = np.sum(Ry * np.linalg.solve(A, Ry.T).T, axis=1)
+            return stats.alpha1 * qx - stats.alpha2 * qy
+
+        Z = rng.standard_normal((60, p)) + 0.1
+        np.testing.assert_allclose(d_statistics(stats, Z), dense(Z),
+                                   rtol=1e-10)
+        np.testing.assert_allclose(d_statistics(stats, Z[0]), dense(Z[:1]),
+                                   rtol=1e-10)
 
     def test_det_oracle_dimension_limit(self):
         rng = np.random.default_rng(6)

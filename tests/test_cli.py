@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dtclassify
 from dtclassify.cli import main
 
 SMALL = """\
@@ -179,3 +185,14 @@ class TestReproduce:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("rho,")
         assert len(lines) == 11
+
+
+class TestModuleEntryPoint:
+    def test_python_m_dtclassify_help_exits_zero(self):
+        src = Path(dtclassify.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dtclassify", "--help"], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "reproduce" in proc.stdout

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import dtclassify
 from dtclassify import io as dtio
 from dtclassify.covariance import CovarianceSpec
 from dtclassify.data import ingest_csv
@@ -176,6 +177,11 @@ class TestEmitResults:
         payload = json.loads(path.read_text())
         errs = payload["classifiers"]["t"]["per_rep_errors"]
         assert errs == list(result.classifiers["t"].per_rep_errors)
+
+    def test_json_records_the_package_version(self, result, tmp_path):
+        (path,) = dtio.emit_results(result, ("json",), tmp_path)
+        payload = json.loads(path.read_text())
+        assert payload["dtclassify_version"] == dtclassify.__version__
 
     def test_reemission_is_byte_identical(self, result, tmp_path):
         a = dtio.emit_results(result, ("csv", "json"), tmp_path / "a")
