@@ -5,14 +5,13 @@ reproducible Monte Carlo harness."""
 __version__ = "0.1.0"  # set before the submodules, which read it
 
 from .classify import (
-    Decision,
     TrainedStats,
-    d_criterion,
     d_criterion_det,
+    d_statistics,
     fit,
-    naive_bayes,
-    oracle_fisher,
-    t_criterion,
+    naive_bayes_statistics,
+    oracle_statistics,
+    t_statistics,
 )
 from .covariance import (
     CovarianceSpec,
@@ -36,7 +35,6 @@ from .model import (
     PopulationPair,
     ScenarioSpec,
     make_scenario_means,
-    sample_population,
 )
 from .reproduce import ReproReport, reproduce
 from .theory import (
@@ -59,9 +57,9 @@ __all__ = [
     "CovarianceSpec", "MixingMatrix", "beta_squared", "build_covariance",
     "inverse_covariance", "mahalanobis",
     "InnovationSpec", "ScenarioSpec", "PopulationModel", "PopulationPair",
-    "make_scenario_means", "sample_population",
-    "Decision", "TrainedStats", "fit", "d_criterion", "d_criterion_det",
-    "t_criterion", "naive_bayes", "oracle_fisher",
+    "make_scenario_means",
+    "TrainedStats", "fit", "d_statistics", "d_criterion_det",
+    "t_statistics", "naive_bayes_statistics", "oracle_statistics",
     "TheoryInputsD", "TheoryInputsT", "MPLimits", "theta1", "theta2", "tau",
     "d_misclass", "t_variance", "t_misclass", "exact_trace_moments", "mp_limits",
     "mp_empirical", "normal_cdf",

@@ -1,21 +1,24 @@
 """Two-group decision rules over training statistics.
 
-Four classifiers share the same decision convention: the returned statistic
-is the left-hand side minus the right-hand side of the rule's inequality,
-and the point is assigned to the first group whenever statistic <= 0 (ties
-resolve to group 1 for reproducibility).
+Four classifiers share the same decision convention: each returns, per
+query row, the left-hand side minus the right-hand side of the rule's
+inequality, and the point is assigned to the first group whenever
+statistic <= 0 (ties resolve to group 1 for reproducibility).
 
-* ``d_criterion``     -- compares quadratic forms against the pooled scatter
-  inverse; equivalent (matrix determinant lemma) to comparing determinants
-  of the two augmented scatter matrices. With A = L L' and
+* ``d_statistics``           -- compares quadratic forms against the pooled
+  scatter inverse; equivalent (matrix determinant lemma) to comparing
+  determinants of the two augmented scatter matrices. With A = L L' and
   z - ybar = (z - xbar) + (xbar - ybar), both forms come from one
   triangular solve, W = L^-1 (z - xbar), and v = L^-1 (xbar - ybar):
   ||W||^2 and ||W + v||^2.
-* ``d_criterion_det`` -- the direct determinant comparison; O(p^3) per query
-  and kept public as a cross-check oracle.
-* ``t_criterion``     -- alpha-weighted squared distances to the group means.
-* ``naive_bayes``     -- independence rule with pooled per-feature variances.
-* ``oracle_fisher``   -- Fisher's rule with the true means and covariance.
+* ``d_criterion_det``        -- the direct determinant comparison for one
+  point; O(p^3) per query and kept public as a cross-check oracle.
+* ``t_statistics``           -- alpha-weighted squared distances to the
+  group means.
+* ``naive_bayes_statistics`` -- independence rule with pooled per-feature
+  variances.
+* ``oracle_statistics``      -- Fisher's rule with the true means and
+  covariance.
 """
 
 from __future__ import annotations
@@ -33,22 +36,6 @@ from .errors import (
     DomainError,
     SingularityError,
 )
-
-PI1 = "pi1"
-PI2 = "pi2"
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Label plus the signed decision statistic (<= 0 means group 1)."""
-
-    label: str
-    statistic: float
-
-
-def _decide(statistic: float) -> Decision:
-    return Decision(PI1 if statistic <= 0.0 else PI2, float(statistic))
-
 
 @dataclass
 class TrainedStats:
@@ -72,16 +59,6 @@ class TrainedStats:
     @property
     def p(self) -> int:
         return self.mean_x.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2 - 2
-
-    def pooled_variances(self) -> np.ndarray:
-        """Per-feature pooled within-group variances, diag(A) / (n1+n2-2)."""
-        if self.pooled_scatter is None:
-            raise SingularityError("pooled scatter was not retained at fit time")
-        return np.diag(self.pooled_scatter) / self.n
 
 
 def fit(X, Y, need_scatter: bool = True) -> TrainedStats:
@@ -149,12 +126,12 @@ def d_statistics(stats: TrainedStats, Z) -> np.ndarray:
     return stats.alpha1 * qx - stats.alpha2 * qy
 
 
-def d_criterion(stats: TrainedStats, z) -> Decision:
-    return _decide(d_statistics(stats, np.asarray(z, dtype=float))[0])
+def d_criterion_det(X, Y, z) -> float:
+    """Direct determinant comparison of the two augmented scatter matrices.
 
-
-def d_criterion_det(X, Y, z) -> Decision:
-    """Direct determinant comparison of the two augmented scatter matrices."""
+    Returns log det(A1) - log det(A2), which has the sign of
+    det(A1) - det(A2): <= 0 assigns z to group 1, as ``d_statistics`` does.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     z = np.asarray(z, dtype=float)
@@ -173,8 +150,7 @@ def d_criterion_det(X, Y, z) -> Decision:
     s2, ld2 = np.linalg.slogdet(A2)
     if s1 <= 0 or s2 <= 0:
         raise SingularityError("augmented scatter matrix is singular")
-    # log-determinant difference has the same sign as det(A1) - det(A2)
-    return _decide(ld1 - ld2)
+    return float(ld1 - ld2)
 
 
 def t_statistics(stats: TrainedStats, Z) -> np.ndarray:
@@ -182,10 +158,6 @@ def t_statistics(stats: TrainedStats, Z) -> np.ndarray:
     qx = np.sum((Z - stats.mean_x) ** 2, axis=1)
     qy = np.sum((Z - stats.mean_y) ** 2, axis=1)
     return stats.alpha1 * qx - stats.alpha2 * qy
-
-
-def t_criterion(stats: TrainedStats, z) -> Decision:
-    return _decide(t_statistics(stats, np.asarray(z, dtype=float))[0])
 
 
 def naive_bayes_statistics(stats: TrainedStats, pooled_variances, Z) -> np.ndarray:
@@ -198,13 +170,6 @@ def naive_bayes_statistics(stats: TrainedStats, pooled_variances, Z) -> np.ndarr
     w = (stats.mean_x - stats.mean_y) / d
     score = (Z - (stats.mean_x + stats.mean_y) / 2.0) @ w
     return -score  # assign to group 1 when the projection is positive
-
-
-def naive_bayes(stats: TrainedStats, pooled_variances, z) -> Decision:
-    return _decide(
-        naive_bayes_statistics(stats, pooled_variances,
-                               np.asarray(z, dtype=float))[0]
-    )
 
 
 def oracle_statistics(mu1, mu2, sigma: CovarianceSpec, Z,
@@ -222,8 +187,3 @@ def oracle_statistics(mu1, mu2, sigma: CovarianceSpec, Z,
     w = sigma_inv @ (mu1 - mu2)
     score = (Z - (mu1 + mu2) / 2.0) @ w
     return -score
-
-
-def oracle_fisher(mu1, mu2, sigma: CovarianceSpec, z) -> Decision:
-    return _decide(oracle_statistics(mu1, mu2, sigma,
-                                     np.asarray(z, dtype=float))[0])

@@ -14,22 +14,23 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import io as dtio
 from .errors import NumericalError, ValidationError
 from .harness import (
-    _expected_delta_terms,
+    DATASET_CLASSIFIER_IDS,
     classify_dataset,
     run_experiment,
+    trace_inputs,
 )
 from .data import ingest_csv
 from .reproduce import TARGETS, reproduce
 from .theory import (
     TheoryInputsD,
     normal_cdf,
-    t_variance_terms,
+    t_misclass,
+    t_variance,
     tau,
     theta1,
     theta2,
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--test-labels", default=None)
     cls.add_argument("--label-column", default=None)
     cls.add_argument("--classifier", action="append", default=None,
-                     choices=("d", "t", "nb"),
+                     choices=DATASET_CLASSIFIER_IDS,
                      help="repeatable; default: t")
     cls.add_argument("--positive-label", default=None,
                      help="label treated as group 1 (default: first seen)")
@@ -131,11 +132,7 @@ def _cmd_theory_d(args) -> int:
 
 def _cmd_theory_t(args) -> int:
     config = dtio.parse_config(args.config)
-    _, norm2, dsd, ones_g3_d = _expected_delta_terms(config)
-    from .covariance import trace_sigma_squared
-
-    tr2 = trace_sigma_squared(config.covariance)
-    alpha2 = config.n2 / (config.n2 + 1.0)
+    inputs = trace_inputs(config)
     variants = (("v1", "v2", "v3", "full") if args.variant == "all"
                 else (args.variant,))
     for variant in variants:
@@ -143,13 +140,8 @@ def _cmd_theory_t(args) -> int:
                 "identity", "diagonal"):
             print("full: requires a diagonal covariance; skipped")
             continue
-        var = t_variance_terms(variant, tr2, dsd, ones_g3_d,
-                               config.n1, config.n2,
-                               theta_x=config.innovation1.theta,
-                               theta_y=config.innovation2.theta,
-                               gamma_x=config.innovation1.gamma4,
-                               gamma_y=config.innovation2.gamma4)
-        prob = normal_cdf(-alpha2 * norm2 / math.sqrt(var))
+        var = t_variance(inputs, variant)
+        prob = t_misclass(inputs, variant)
         print(f"{variant}: B_p^2 = {var:.6f}  misclass = {prob:.6f}")
     return 0
 

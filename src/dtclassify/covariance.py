@@ -191,12 +191,7 @@ def mahalanobis(delta, spec: CovarianceSpec) -> float:
 
 def trace_sigma_squared(spec: CovarianceSpec) -> float:
     """tr(Sigma^2) = squared Frobenius norm of Sigma."""
-    if spec.kind == "identity":
-        return float(spec.p)
-    if spec.kind == "diagonal":
-        return float(np.sum(spec.sigmas**2))
-    sigma = build_covariance(spec)
-    return float(np.sum(sigma * sigma))
+    return float(np.sum(build_covariance(spec) ** 2))
 
 
 def beta_squared(spec: CovarianceSpec) -> float:

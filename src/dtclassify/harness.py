@@ -2,9 +2,11 @@
 
 A replication draws fresh training and test samples (and, in the
 delocalized scenario, optionally a fresh second mean vector), fits once,
-and scores every requested classifier. Replications are independent work
-units: each derives its own RNG stream from (master_seed, rep_index), so
-results are bit-identical regardless of how many workers execute them.
+and scores every requested classifier through ``rule_statistics``, which
+also scores labeled data in ``classify_dataset``. Replications are
+independent work units: each derives its own RNG stream from
+(master_seed, rep_index), so results are bit-identical regardless of how
+many workers execute them.
 
 Every replication runs on one BLAS thread: its matrices are small
 (p <= 500), so OpenBLAS threads cost more than they save, and with
@@ -15,7 +17,6 @@ Parallelism comes from the workers alone.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .covariance import (
     build_covariance,
     inverse_covariance,
     mahalanobis,
+    trace_sigma_squared,
 )
 from .errors import DomainError, NumericalError, SingularityError
 from .model import (
@@ -42,14 +44,16 @@ from .model import (
 )
 from .theory import (
     TheoryInputsD,
+    TheoryInputsT,
     d_misclass,
     normal_cdf,
-    t_variance_terms,
-    theta1,
-    theta2,
+    t_misclass,
 )
 
+# determinant rule, trace rule, naive Bayes, Fisher's rule with the truth
 CLASSIFIER_IDS = ("d", "t", "nb", "oracle")
+# the oracle needs the true parameters, which labeled data do not have
+DATASET_CLASSIFIER_IDS = tuple(c for c in CLASSIFIER_IDS if c != "oracle")
 
 # RNG stream layout: replication r uses [master_seed, r]; the reserved
 # stream below draws a fixed delocalized mu2 when redraw_mu2 is off.
@@ -119,7 +123,7 @@ class ExperimentConfig:
     scenario: ScenarioSpec
     innovation1: InnovationSpec = InnovationSpec("normal")
     innovation2: InnovationSpec = InnovationSpec("normal")
-    classifiers: tuple[str, ...] = ("d", "t", "nb", "oracle")
+    classifiers: tuple[str, ...] = CLASSIFIER_IDS
     m1: int | None = None
     m2: int | None = None
     reps: int = 1000
@@ -182,16 +186,22 @@ class ExperimentResult:
     classifiers: dict[str, ClassifierResult]
 
 
-def _fixed_mu2(config: ExperimentConfig) -> np.ndarray | None:
-    """The mu2 shared by all replications, or None when redrawn per rep."""
+def _fixed_delta(config: ExperimentConfig) -> np.ndarray | None:
+    """The known mean difference mu2 - mu1 (mu1 = 0), or None if uniform."""
     if config.mu2_override is not None:
         return config.mu2_override
     if config.scenario.kind == "localized":
         return localized_mu2(config.scenario.n0, config.p)
-    if not config.scenario.redraw_mu2:
-        rng = np.random.default_rng([config.master_seed, FIXED_MU_STREAM])
-        return make_scenario_means(config.scenario, config.covariance, rng)[1]
     return None
+
+
+def _fixed_mu2(config: ExperimentConfig) -> np.ndarray | None:
+    """The mu2 shared by all replications, or None when redrawn per rep."""
+    mu2 = _fixed_delta(config)
+    if mu2 is None and not config.scenario.redraw_mu2:
+        rng = np.random.default_rng([config.master_seed, FIXED_MU_STREAM])
+        mu2 = make_scenario_means(config.scenario, config.covariance, rng)[1]
+    return mu2
 
 
 def run_replication(config: ExperimentConfig, rep_index: int,
@@ -226,27 +236,38 @@ def run_replication(config: ExperimentConfig, rep_index: int,
         Z1 = pair.population(1).sample(config.test1, rng)
         Z2 = pair.population(2).sample(config.test2, rng)
         Z = np.vstack([Z1, Z2])
-
-        stats = classify.fit(X, Y, need_scatter="d" in config.classifiers)
-
-        out: dict[str, tuple[int, int]] = {}
-        for clf in config.classifiers:
-            if clf == "d":
-                s = classify.d_statistics(stats, Z)
-            elif clf == "t":
-                s = classify.t_statistics(stats, Z)
-            elif clf == "nb":
-                variances = pooled_variances_from_data(X, Y)
-                s = classify.naive_bayes_statistics(stats, variances, Z)
-            else:
-                s = classify.oracle_statistics(mu1, mu2, config.covariance, Z,
-                                               sigma_inv)
-            mis1 = int(np.sum(s[:config.test1] > 0))
-            mis2 = int(np.sum(s[config.test1:] <= 0))
-            out[clf] = (mis1, mis2)
-        return out
+        scores = rule_statistics(config.classifiers, X, Y, Z,
+                                 (mu1, mu2, config.covariance, sigma_inv))
     except NumericalError as exc:
         raise type(exc)(f"replication {rep_index}: {exc}") from exc
+    return {clf: (int(np.sum(s[:config.test1] > 0)),
+                  int(np.sum(s[config.test1:] <= 0)))
+            for clf, s in scores.items()}
+
+
+def rule_statistics(classifiers, X, Y, Z, truth=None
+                    ) -> dict[str, np.ndarray]:
+    """Fit once on the groups X and Y; each rule's statistics for rows of Z.
+
+    A statistic <= 0 assigns its row to group 1. ``truth`` is
+    (mu1, mu2, sigma, sigma_inv), read by the oracle only; ``sigma_inv``
+    may be None.
+    """
+    stats = classify.fit(X, Y, need_scatter="d" in classifiers)
+    out: dict[str, np.ndarray] = {}
+    for clf in classifiers:
+        if clf == "d":
+            out[clf] = classify.d_statistics(stats, Z)
+        elif clf == "t":
+            out[clf] = classify.t_statistics(stats, Z)
+        elif clf == "nb":
+            out[clf] = classify.naive_bayes_statistics(
+                stats, pooled_variances_from_data(X, Y), Z)
+        else:
+            mu1, mu2, sigma, sigma_inv = truth
+            out[clf] = classify.oracle_statistics(mu1, mu2, sigma, Z,
+                                                  sigma_inv)
+    return out
 
 
 def pooled_variances_from_data(X, Y) -> np.ndarray:
@@ -325,57 +346,50 @@ def _run_pinned(config: ExperimentConfig, workers: int) -> ExperimentResult:
     return ExperimentResult(config, results)
 
 
-def _expected_delta_terms(config: ExperimentConfig
-                          ) -> tuple[float, float, float, float]:
-    """(Delta^2, E||delta||^2, E delta'Sigma delta, E 1'Gamma^3 delta).
+def trace_inputs(config: ExperimentConfig) -> TheoryInputsT:
+    """Inputs of the trace-rule limit for a config.
 
     Exact for a known mean difference; expectations over the uniform draw
     in the delocalized scenario.
     """
     sigma = config.covariance
-    if config.mu2_override is not None or config.scenario.kind == "localized":
-        delta = (config.mu2_override if config.mu2_override is not None
-                 else localized_mu2(config.scenario.n0, config.p))
-        sig = build_covariance(sigma)
-        g3 = MixingMatrix.from_spec(sigma).cube()
-        return (mahalanobis(delta, sigma), float(delta @ delta),
-                float(delta @ sig @ delta), float(np.sum(g3 @ delta)))
-    # delocalized: entries i.i.d. Uniform(e/2, 3e/2), mean e, variance e^2/12
+    innov1, innov2 = config.innovation1, config.innovation2
+    delta = _fixed_delta(config)
+    if delta is not None:
+        return TheoryInputsT.from_delta(delta, sigma, config.n1, config.n2,
+                                        innov1, innov2)
+    # entries i.i.d. Uniform(e/2, 3e/2), mean e, variance e^2/12
     e = delocalized_scale(config.scenario, sigma)
-    p = config.p
     sig = build_covariance(sigma)
     g3 = MixingMatrix.from_spec(sigma).cube()
     e2 = e * e
-    norm2 = p * e2 * 13.0 / 12.0
-    dsd = e2 * (np.trace(sig) / 12.0 + np.sum(sig))
-    ones_g3_d = e * float(np.sum(g3))
-    delta2 = localized_distance(config.scenario.n0, sigma)
-    return delta2, float(norm2), float(dsd), ones_g3_d
+    return TheoryInputsT(
+        sigma, config.n1, config.n2, trace_sigma_squared(sigma),
+        float(e2 * (np.trace(sig) / 12.0 + np.sum(sig))),
+        e * float(np.sum(g3)), float(config.p * e2 * 13.0 / 12.0),
+        theta_x=innov1.theta, theta_y=innov2.theta,
+        gamma_x=innov1.gamma4, gamma_y=innov2.gamma4)
 
 
 def theory_predictions(config: ExperimentConfig) -> dict[str, float | None]:
-    """Asymptotic error predictions (%) from the true parameters."""
-    delta2, norm2, dsd, ones_g3_d = _expected_delta_terms(config)
-    tr2 = float(np.sum(build_covariance(config.covariance) ** 2))
-    preds: dict[str, float | None] = {}
-    for clf in config.classifiers:
-        if clf == "d":
-            inputs = TheoryInputsD.from_design(config.p, config.n1, config.n2,
-                                               delta2)
-            preds[clf] = 100.0 * d_misclass(inputs)
-        elif clf == "t":
-            var = t_variance_terms("v1", tr2, dsd, ones_g3_d,
-                                   config.n1, config.n2,
-                                   theta_x=config.innovation1.theta,
-                                   theta_y=config.innovation2.theta,
-                                   gamma_x=config.innovation1.gamma4,
-                                   gamma_y=config.innovation2.gamma4)
-            alpha2 = config.n2 / (config.n2 + 1.0)
-            preds[clf] = 100.0 * normal_cdf(-alpha2 * norm2 / math.sqrt(var))
-        elif clf == "oracle":
-            preds[clf] = 100.0 * normal_cdf(-math.sqrt(delta2) / 2.0)
-        else:
-            preds[clf] = None
+    """Asymptotic error predictions (%) from the true parameters.
+
+    Delta^2 is exact for a known mean difference; in the delocalized
+    scenario it is the localized Delta_L^2 the uniform law is calibrated to.
+    """
+    preds: dict[str, float | None] = dict.fromkeys(config.classifiers)
+    if "t" in preds:
+        preds["t"] = 100.0 * t_misclass(trace_inputs(config), "v1")
+    if "d" in preds or "oracle" in preds:
+        delta = _fixed_delta(config)
+        delta2 = (mahalanobis(delta, config.covariance) if delta is not None
+                  else localized_distance(config.scenario.n0,
+                                          config.covariance))
+        if "d" in preds:
+            preds["d"] = 100.0 * d_misclass(TheoryInputsD.from_design(
+                config.p, config.n1, config.n2, delta2))
+        if "oracle" in preds:
+            preds["oracle"] = 100.0 * normal_cdf(-np.sqrt(delta2) / 2.0)
     return preds
 
 
@@ -409,36 +423,18 @@ def classify_dataset(train, test, classifiers=("t",)
         raise DomainError("train and test label sets differ")
     test = test.with_label_order(train.label_set)
 
-    unknown = set(classifiers) - {"d", "t", "nb"}
+    unknown = set(classifiers) - set(DATASET_CLASSIFIER_IDS)
     if unknown:
         raise DomainError(
             f"classifier id(s) {sorted(unknown)} not usable on real data"
         )
-    X, Y = train.group(1), train.group(2)
-    need_scatter = "d" in classifiers
-    if need_scatter and train.p >= train.n - 2:
-        raise SingularityError(
-            f"the D-criterion needs p < n1+n2-2; got p = {train.p}, "
-            f"n1+n2-2 = {train.n - 2}"
-        )
-    stats = classify.fit(X, Y, need_scatter=need_scatter)
-    variances = (pooled_variances_from_data(X, Y) if "nb" in classifiers
-                 else None)
-
+    scores = rule_statistics(classifiers, train.group(1), train.group(2),
+                             np.vstack([train.features, test.features]))
+    actual_pi2 = np.array([lab == ds.label_set[1] for ds in (train, test)
+                           for lab in ds.labels])
     out: dict[str, DatasetErrors] = {}
-    for clf in classifiers:
-        errs = []
-        for ds in (train, test):
-            if clf == "d":
-                s = classify.d_statistics(stats, ds.features)
-            elif clf == "t":
-                s = classify.t_statistics(stats, ds.features)
-            else:
-                s = classify.naive_bayes_statistics(stats, variances,
-                                                    ds.features)
-            predicted_pi2 = s > 0
-            actual_pi2 = np.array(
-                [lab == ds.label_set[1] for lab in ds.labels])
-            errs.append(int(np.sum(predicted_pi2 != actual_pi2)))
-        out[clf] = DatasetErrors(clf, errs[0], errs[1], train.p)
+    for clf, s in scores.items():
+        wrong = (s > 0) != actual_pi2
+        out[clf] = DatasetErrors(clf, int(np.sum(wrong[:train.n])),
+                                 int(np.sum(wrong[train.n:])), train.p)
     return out

@@ -95,6 +95,8 @@ def _covariance_from(parser, p: int) -> CovarianceSpec:
     sec = parser["covariance"]
     kind = _get(sec, "kind", str, default="identity", path="covariance")
     rho = _get(sec, "rho", float, path="covariance")
+    if rho is not None and not (-1.0 < rho < 1.0):
+        raise ConfigError(f"[covariance].rho: {rho} outside (-1, 1)")
     sigmas = _get(
         sec, "sigmas",
         lambda s: np.array([float(tok) for tok in s.split(",")]),
@@ -180,14 +182,8 @@ def parse_config(path) -> ExperimentConfig:
             )
     elif p < n1 + n2 - 2:
         classifiers = CLASSIFIER_IDS
-    else:
-        classifiers = ("t", "nb", "oracle")
-
-    # range checks before touching the heavier constructors
-    if parser.has_section("covariance") and "rho" in parser["covariance"]:
-        rho = float(parser["covariance"]["rho"])
-        if not (-1.0 < rho < 1.0):
-            raise ConfigError(f"[covariance].rho: {rho} outside (-1, 1)")
+    else:  # the D-rule needs p < n1+n2-2
+        classifiers = tuple(c for c in CLASSIFIER_IDS if c != "d")
 
     try:
         return ExperimentConfig(

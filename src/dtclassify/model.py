@@ -15,7 +15,6 @@ from .covariance import (
     CovarianceSpec,
     MixingMatrix,
     beta_squared,
-    inverse_covariance,
     mahalanobis,
 )
 from .errors import CalibrationError, DomainError
@@ -213,9 +212,3 @@ class PopulationPair:
 
     def mahalanobis(self) -> float:
         return mahalanobis(self.delta, self.sigma)
-
-
-def sample_population(n: int, model: PopulationModel,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Functional alias for PopulationModel.sample."""
-    return model.sample(n, rng)

@@ -14,19 +14,9 @@ import numpy as np
 
 from .covariance import CovarianceSpec
 from .errors import DomainError
-from .harness import (
-    ExperimentConfig,
-    _expected_delta_terms,
-    run_experiment,
-)
+from .harness import ExperimentConfig, run_experiment, trace_inputs
 from .model import InnovationSpec, ScenarioSpec
-from .theory import (
-    TheoryInputsD,
-    normal_cdf,
-    t_variance_terms,
-    theta1,
-    theta2,
-)
+from .theory import TheoryInputsD, normal_cdf, t_misclass, theta1, theta2
 
 TARGETS = ("table1", "table2", "table3", "table4", "fig1", "fig2", "fig5")
 
@@ -175,12 +165,12 @@ def reproduce(target: str, scale: float = 1.0, table_reps: int | None = None,
     """Run one reproduction target at the given replication scale."""
     if target not in TARGETS:
         raise DomainError(f"unknown target {target!r}; choose from {TARGETS}")
-    if target in ("table1", "table2", "table3"):
-        reps = _scaled_reps(table_reps or TABLE_DEFAULT_REPS, scale)
+    if target in ("table1", "table2", "table3", "table4"):
+        reps = _scaled_reps(TABLE_DEFAULT_REPS if table_reps is None
+                            else table_reps, scale)
+        if target == "table4":
+            return _table4(reps, workers, master_seed)
         return _corr_table(target, reps, workers, master_seed)
-    if target == "table4":
-        reps = _scaled_reps(table_reps or TABLE_DEFAULT_REPS, scale)
-        return _table4(reps, workers, master_seed)
     reps = _scaled_reps(FIGURE_DEFAULT_REPS, scale)
     if target == "fig1":
         return _fig1(reps, workers, master_seed)
@@ -317,15 +307,8 @@ def _fig5(reps: int, workers: int, master_seed: int) -> ReproReport:
                 # group-1 error matches the one-sided theoretical quantity
                 "empirical": result.classifiers["t"].mean_error_pi1_pct / 100.0,
             }
-            _, norm2, dsd, ones_g3_d = _expected_delta_terms(config)
-            alpha2 = n2 / (n2 + 1.0)
+            inputs = trace_inputs(config)
             for variant in ("v1", "v2", "v3"):
-                var = t_variance_terms(variant, 500.0, dsd, ones_g3_d, n1, n2,
-                                       theta_x=innov.theta,
-                                       theta_y=innov.theta,
-                                       gamma_x=innov.gamma4,
-                                       gamma_y=innov.gamma4)
-                row[f"phi_{variant}"] = normal_cdf(
-                    -alpha2 * norm2 / np.sqrt(var))
+                row[f"phi_{variant}"] = t_misclass(inputs, variant)
             report.rows.append(row)
     return report

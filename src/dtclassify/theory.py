@@ -25,7 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .covariance import CovarianceSpec, MixingMatrix, trace_sigma_squared
+from .covariance import (
+    CovarianceSpec,
+    MixingMatrix,
+    build_covariance,
+    trace_sigma_squared,
+)
 from .errors import DomainError, SingularityError
 from .model import InnovationSpec
 
@@ -92,32 +97,45 @@ def d_misclass(inputs: TheoryInputsD) -> float:
 
 @dataclass(frozen=True)
 class TheoryInputsT:
-    """Inputs for the trace-rule variance and misclassification formulas."""
+    """Inputs for the trace-rule variance and misclassification formulas.
 
-    delta: np.ndarray
+    The mean difference delta enters only through delta' Sigma delta,
+    1' Gamma^3 delta and ||delta||^2 (their expectations when delta is
+    drawn at random); ``from_delta`` computes them for a fixed delta.
+    """
+
     sigma: CovarianceSpec
     n1: int
     n2: int
+    tr_sigma2: float
+    delta_sigma_delta: float
+    ones_gamma3_delta: float
+    norm2: float
     theta_x: float = 0.0
     theta_y: float = 0.0
     gamma_x: float = 3.0
     gamma_y: float = 3.0
 
     def __post_init__(self):
-        delta = np.asarray(self.delta, dtype=float)
-        if delta.shape != (self.sigma.p,):
-            raise DomainError(
-                f"delta must have length {self.sigma.p}, got {delta.shape}"
-            )
-        object.__setattr__(self, "delta", delta)
         if self.n1 < 1 or self.n2 < 1:
             raise DomainError("sample sizes must be >= 1")
 
     @classmethod
-    def from_innovations(cls, delta, sigma: CovarianceSpec, n1: int, n2: int,
-                         innov1: InnovationSpec, innov2: InnovationSpec
-                         ) -> "TheoryInputsT":
-        return cls(np.asarray(delta, dtype=float), sigma, n1, n2,
+    def from_delta(cls, delta, sigma: CovarianceSpec, n1: int, n2: int,
+                   innov1: InnovationSpec = InnovationSpec("normal"),
+                   innov2: InnovationSpec = InnovationSpec("normal"),
+                   ) -> "TheoryInputsT":
+        """The terms of a fixed mean difference, from the dense Sigma."""
+        delta = np.asarray(delta, dtype=float)
+        if delta.shape != (sigma.p,):
+            raise DomainError(
+                f"delta must have length {sigma.p}, got {delta.shape}"
+            )
+        sig = build_covariance(sigma)
+        g3 = MixingMatrix.from_spec(sigma).cube()
+        return cls(sigma, n1, n2, trace_sigma_squared(sigma),
+                   float(delta @ sig @ delta), float(np.sum(g3 @ delta)),
+                   float(delta @ delta),
                    theta_x=innov1.theta, theta_y=innov2.theta,
                    gamma_x=innov1.gamma4, gamma_y=innov2.gamma4)
 
@@ -128,25 +146,6 @@ class TheoryInputsT:
     @property
     def alpha2(self) -> float:
         return self.n2 / (self.n2 + 1.0)
-
-    def terms(self) -> tuple[float, float, float, float]:
-        """(tr(Sigma^2), delta' Sigma delta, 1' Gamma^3 delta, ||delta||^2)."""
-        tr2 = trace_sigma_squared(self.sigma)
-        if self.sigma.kind == "identity":
-            dsd = float(self.delta @ self.delta)
-            ones_g3_d = float(np.sum(self.delta))
-        elif self.sigma.kind == "diagonal":
-            dsd = float(np.sum(self.sigma.sigmas * self.delta**2))
-            ones_g3_d = float(np.sum(self.sigma.sigmas**1.5 * self.delta))
-        else:
-            from .covariance import build_covariance
-
-            sig = build_covariance(self.sigma)
-            dsd = float(self.delta @ sig @ self.delta)
-            ones_g3_d = float(
-                np.sum(MixingMatrix.from_spec(self.sigma).cube() @ self.delta)
-            )
-        return tr2, dsd, ones_g3_d, float(self.delta @ self.delta)
 
 
 def t_variance_terms(variant: str, tr_sigma2: float, delta_sigma_delta: float,
@@ -182,8 +181,8 @@ def t_variance(inputs: TheoryInputsT, variant: str) -> float:
         raise DomainError(
             "the exact-moment variance assumes a diagonal covariance"
         )
-    tr2, dsd, ones_g3_d, _ = inputs.terms()
-    return t_variance_terms(variant, tr2, dsd, ones_g3_d,
+    return t_variance_terms(variant, inputs.tr_sigma2,
+                            inputs.delta_sigma_delta, inputs.ones_gamma3_delta,
                             inputs.n1, inputs.n2,
                             inputs.theta_x, inputs.theta_y,
                             inputs.gamma_x, inputs.gamma_y)
@@ -194,8 +193,7 @@ def t_misclass(inputs: TheoryInputsT, variant: str = "v1") -> float:
     var = t_variance(inputs, variant)
     if var <= 0.0:
         raise DomainError(f"nonpositive variance {var:.3g}")
-    norm2 = float(inputs.delta @ inputs.delta)
-    return normal_cdf(-inputs.alpha2 * norm2 / np.sqrt(var))
+    return normal_cdf(-inputs.alpha2 * inputs.norm2 / np.sqrt(var))
 
 
 def exact_trace_moments(inputs: TheoryInputsT) -> tuple[float, float]:
@@ -205,7 +203,7 @@ def exact_trace_moments(inputs: TheoryInputsT) -> tuple[float, float]:
     -alpha2 ||delta||^2 and the variance is the exact-moment ("full")
     variance. Requires a diagonal covariance.
     """
-    mean = -inputs.alpha2 * float(inputs.delta @ inputs.delta)
+    mean = -inputs.alpha2 * inputs.norm2
     return mean, t_variance(inputs, "full")
 
 

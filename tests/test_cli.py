@@ -112,6 +112,28 @@ class TestTheory:
         assert "full: requires a diagonal covariance" in \
             capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [
+        "", "\n[covariance]\nkind = equal_corr\nrho = 0.3\n",
+        "\n[covariance]\nkind = diagonal\nsigmas = 1,2,3,4,1,2,3,4\n"],
+        ids=["identity", "equal_corr", "diagonal"])
+    def test_t_prints_the_trace_limit_of_the_config(self, tmp_path, capsys,
+                                                    extra):
+        from dtclassify.harness import trace_inputs
+        from dtclassify.io import parse_config
+        from dtclassify.theory import t_misclass, t_variance
+
+        text = SMALL + extra
+        if "diagonal" in extra:  # calibrated only for identity/equal_corr/ar1
+            text = text.replace("delocalized", "localized")
+        config = write(tmp_path, text)
+        code = main(["theory", "t", "--config", str(config),
+                     "--variant", "v1"])
+        assert code == 0
+        inputs = trace_inputs(parse_config(config))
+        assert capsys.readouterr().out == (
+            f"v1: B_p^2 = {t_variance(inputs, 'v1'):.6f}  "
+            f"misclass = {t_misclass(inputs, 'v1'):.6f}\n")
+
 
 def write_dataset(tmp_path, rng, stem, n_per=10, p=5, gap=8.0):
     X = rng.standard_normal((n_per, p))

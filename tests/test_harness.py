@@ -15,9 +15,11 @@ from dtclassify.harness import (
     ExperimentConfig,
     classify_dataset,
     pooled_variances_from_data,
+    rule_statistics,
     run_experiment,
     run_replication,
     theory_predictions,
+    trace_inputs,
 )
 from dtclassify.model import InnovationSpec, ScenarioSpec
 
@@ -223,6 +225,22 @@ class TestTheoryOverlay:
         assert preds["oracle"] == pytest.approx(
             100.0 * normal_cdf(-np.sqrt(5.0) / 2.0))
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"covariance": CovarianceSpec.equal_corr(10, 0.3),
+         "innovation1": InnovationSpec("gamma_shifted"),
+         "innovation2": InnovationSpec("student_t", df=7)},
+        {"covariance": CovarianceSpec.diagonal(np.linspace(0.5, 2.0, 10)),
+         "scenario": ScenarioSpec("localized", 4)},
+        {"mu2_override": np.linspace(0.0, 1.0, 10)},
+    ])
+    def test_t_prediction_is_the_trace_limit_of_the_config(self, overrides):
+        from dtclassify.theory import t_misclass
+
+        config = small_config(**overrides)
+        assert theory_predictions(config)["t"] == \
+            100.0 * t_misclass(trace_inputs(config), "v1")
+
     def test_overlay_attached_to_results(self):
         result = run_experiment(small_config(reps=5))
         assert result.classifiers["d"].theory_pred_pct is not None
@@ -264,6 +282,33 @@ class TestClassifyDataset:
         test_flipped = toy_dataset(rng, 10, 4, 8.0).with_label_order(("b", "a"))
         out = classify_dataset(train, test_flipped, ("t",))
         assert out["t"].test_errors == 0
+
+    def test_one_fit_scores_every_rule(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        X = rng.standard_normal((12, 3))
+        Y = rng.standard_normal((15, 3)) + 1.0
+        Z = rng.standard_normal((7, 3))
+        real_fit, fits = classify.fit, []
+
+        def counted_fit(*args, **kwargs):
+            fits.append(kwargs)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "fit", counted_fit)
+        truth = (np.zeros(3), np.ones(3), CovarianceSpec.identity(3), None)
+        out = rule_statistics(("d", "t", "nb", "oracle"), X, Y, Z, truth)
+        assert fits == [{"need_scatter": True}]
+        stats = real_fit(X, Y)
+        expected = {
+            "d": classify.d_statistics(stats, Z),
+            "t": classify.t_statistics(stats, Z),
+            "nb": classify.naive_bayes_statistics(
+                stats, pooled_variances_from_data(X, Y), Z),
+            "oracle": classify.oracle_statistics(*truth[:3], Z),
+        }
+        assert list(out) == list(expected)
+        for clf, s in expected.items():
+            assert np.array_equal(out[clf], s), clf
 
     def test_oracle_not_usable_on_real_data(self):
         rng = np.random.default_rng(34)

@@ -107,6 +107,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="rho"):
             dtio.parse_config(path)
 
+    def test_rho_out_of_range_for_identity(self, tmp_path):
+        # identity ignores rho, so only the parser's range check rejects it
+        path = write(tmp_path, MINIMAL + "\n[covariance]\nkind = identity\n"
+                     "rho = 5\n")
+        with pytest.raises(ConfigError,
+                           match=r"\[covariance\]\.rho: 5\.0 outside"):
+            dtio.parse_config(path)
+
     def test_unparseable_value(self, tmp_path):
         path = write(tmp_path, MINIMAL.replace("n1 = 20", "n1 = twenty"))
         with pytest.raises(ConfigError, match=r"\[experiment\].n1"):

@@ -1,8 +1,12 @@
 """Reproduction targets: report structure and reference bookkeeping."""
 
+import importlib
+from types import SimpleNamespace
+
 import pytest
 
 from dtclassify.errors import DomainError
+from dtclassify.harness import trace_inputs
 from dtclassify.reproduce import (
     REFERENCE_TABLE1,
     REFERENCE_TABLE3,
@@ -11,6 +15,10 @@ from dtclassify.reproduce import (
     TARGETS,
     reproduce,
 )
+from dtclassify.theory import t_misclass
+
+# the package root re-exports the function under the module's name
+reproduce_module = importlib.import_module("dtclassify.reproduce")
 
 
 class TestBookkeeping:
@@ -28,6 +36,18 @@ class TestBookkeeping:
             reproduce("table1", scale=0.0)
         with pytest.raises(DomainError):
             reproduce("table1", scale=0.01)  # fewer than 50 replications
+
+    @pytest.mark.parametrize("target", ["table1", "table2", "table3",
+                                        "table4"])
+    def test_zero_table_reps_rejected_before_any_run(self, target,
+                                                     monkeypatch):
+        # 0 is a count, not "unset": it must not fall back to the default
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replication was started")
+
+        monkeypatch.setattr(reproduce_module, "run_experiment", no_run)
+        with pytest.raises(DomainError, match="need >= 50"):
+            reproduce(target, table_reps=0)
 
 
 class TestReports:
@@ -70,3 +90,22 @@ class TestReports:
     def test_all_targets_registered(self):
         assert TARGETS == ("table1", "table2", "table3", "table4",
                            "fig1", "fig2", "fig5")
+
+    def test_fig5_rows_are_the_trace_limit_of_their_configs(self,
+                                                            monkeypatch):
+        # the phi columns depend on the config only; skip the replications
+        configs = []
+
+        def record(config, workers=1):
+            configs.append(config)
+            stub = SimpleNamespace(mean_error_pi1_pct=0.0)
+            return SimpleNamespace(classifiers={"t": stub})
+
+        monkeypatch.setattr(reproduce_module, "run_experiment", record)
+        report = reproduce("fig5", scale=0.005)
+        assert len(report.rows) == len(configs) == 20
+        for row, config in zip(report.rows, configs):
+            assert (row["n1"], row["n2"]) == (config.n1, config.n2)
+            inputs = trace_inputs(config)
+            for variant in ("v1", "v2", "v3"):
+                assert row[f"phi_{variant}"] == t_misclass(inputs, variant)

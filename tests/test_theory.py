@@ -120,7 +120,8 @@ class TestTraceRuleVariance:
             assert abs(full - v1) < 6000.0 / n**2
 
     def test_full_requires_diagonal_structure(self):
-        inputs = TheoryInputsT(np.ones(5), CovarianceSpec.ar1(5, 0.5), 50, 50)
+        spec = CovarianceSpec.ar1(5, 0.5)
+        inputs = TheoryInputsT.from_delta(np.ones(5), spec, 50, 50)
         with pytest.raises(DomainError):
             t_variance(inputs, "full")
 
@@ -131,24 +132,26 @@ class TestTraceRuleVariance:
     def test_terms_match_dense_computation(self):
         sig = np.array([0.5, 1.0, 1.5, 2.0])
         delta = np.array([1.0, -1.0, 2.0, 0.5])
-        inputs = TheoryInputsT(delta, CovarianceSpec.diagonal(sig), 30, 40)
-        tr2, dsd, ones_g3_d, norm2 = inputs.terms()
-        assert tr2 == pytest.approx(np.sum(sig**2))
-        assert dsd == pytest.approx(np.sum(sig * delta**2))
-        assert ones_g3_d == pytest.approx(np.sum(sig**1.5 * delta))
-        assert norm2 == pytest.approx(np.sum(delta**2))
+        inputs = TheoryInputsT.from_delta(delta, CovarianceSpec.diagonal(sig),
+                                          30, 40)
+        assert inputs.tr_sigma2 == pytest.approx(np.sum(sig**2))
+        assert inputs.delta_sigma_delta == pytest.approx(
+            np.sum(sig * delta**2))
+        assert inputs.ones_gamma3_delta == pytest.approx(
+            np.sum(sig**1.5 * delta))
+        assert inputs.norm2 == pytest.approx(np.sum(delta**2))
 
     def test_terms_for_correlated_structure(self):
         from dtclassify.covariance import MixingMatrix, build_covariance
 
         spec = CovarianceSpec.ar1(6, 0.4)
         delta = np.linspace(-1, 1, 6)
-        inputs = TheoryInputsT(delta, spec, 30, 40)
-        tr2, dsd, ones_g3_d, _ = inputs.terms()
+        inputs = TheoryInputsT.from_delta(delta, spec, 30, 40)
         sigma = build_covariance(spec)
         g3 = MixingMatrix.from_spec(spec).cube()
-        assert dsd == pytest.approx(delta @ sigma @ delta)
-        assert ones_g3_d == pytest.approx(np.ones(6) @ g3 @ delta)
+        assert inputs.delta_sigma_delta == pytest.approx(delta @ sigma @ delta)
+        assert inputs.ones_gamma3_delta == pytest.approx(
+            np.ones(6) @ g3 @ delta)
 
 
 class TestTraceRuleMisclassification:
@@ -156,26 +159,29 @@ class TestTraceRuleMisclassification:
         # p = 500, Sigma = I, delocalized with E||delta||^2 = Delta = 10
         delta = np.full(500, np.sqrt(10.0 / 500.0))
         spec = CovarianceSpec.identity(500)
-        p100 = t_misclass(TheoryInputsT(delta, spec, 100, 100), "v2")
-        p500 = t_misclass(TheoryInputsT(delta, spec, 500, 500), "v2")
+        p100 = t_misclass(TheoryInputsT.from_delta(delta, spec, 100, 100),
+                          "v2")
+        p500 = t_misclass(TheoryInputsT.from_delta(delta, spec, 500, 500),
+                          "v2")
         assert p100 == pytest.approx(0.1335, abs=5e-4)
         assert p500 == pytest.approx(0.0747, abs=5e-4)
 
     def test_zero_distance_is_coin_flip(self):
-        inputs = TheoryInputsT(np.zeros(50), CovarianceSpec.identity(50),
-                               100, 100)
+        spec = CovarianceSpec.identity(50)
+        inputs = TheoryInputsT.from_delta(np.zeros(50), spec, 100, 100)
         assert t_misclass(inputs, "v2") == pytest.approx(0.5)
 
     def test_nonpositive_variance_rejected(self):
-        inputs = TheoryInputsT(np.zeros(50), CovarianceSpec.identity(50),
-                               100, 100)
+        spec = CovarianceSpec.identity(50)
+        inputs = TheoryInputsT.from_delta(np.zeros(50), spec, 100, 100)
         with pytest.raises(DomainError):
             t_misclass(inputs, "v3")
 
     def test_exact_moments_mean_hand_value(self):
         # alpha2 ||delta||^2 = (100/101) * 10
         delta = np.full(500, np.sqrt(10.0 / 500.0))
-        inputs = TheoryInputsT(delta, CovarianceSpec.identity(500), 100, 100)
+        inputs = TheoryInputsT.from_delta(delta, CovarianceSpec.identity(500),
+                                          100, 100)
         mean, var = exact_trace_moments(inputs)
         assert mean == pytest.approx(-1000.0 / 101.0)
         assert var > 0
@@ -186,7 +192,8 @@ class TestTraceRuleMisclassification:
         rng = np.random.default_rng(21)
         sig = rng.uniform(0.5, 2.0, p)
         delta = rng.uniform(-1.0, 1.0, p)
-        inputs = TheoryInputsT(delta, CovarianceSpec.diagonal(sig), n1, n2)
+        inputs = TheoryInputsT.from_delta(delta, CovarianceSpec.diagonal(sig),
+                                          n1, n2)
         mean_th, var_th = exact_trace_moments(inputs)
 
         N = 200000
