@@ -32,7 +32,6 @@ from .harness import (
 from .model import (
     InnovationSpec,
     PopulationModel,
-    PopulationPair,
     ScenarioSpec,
     make_scenario_means,
 )
@@ -56,7 +55,7 @@ from .theory import (
 __all__ = [
     "CovarianceSpec", "MixingMatrix", "beta_squared", "build_covariance",
     "inverse_covariance", "mahalanobis",
-    "InnovationSpec", "ScenarioSpec", "PopulationModel", "PopulationPair",
+    "InnovationSpec", "ScenarioSpec", "PopulationModel",
     "make_scenario_means",
     "TrainedStats", "fit", "d_statistics", "d_criterion_det",
     "t_statistics", "naive_bayes_statistics", "oracle_statistics",

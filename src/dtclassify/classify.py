@@ -18,7 +18,7 @@ statistic <= 0 (ties resolve to group 1 for reproducibility).
 * ``naive_bayes_statistics`` -- independence rule with pooled per-feature
   variances.
 * ``oracle_statistics``      -- Fisher's rule with the true means and
-  covariance.
+  inverse covariance.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
 from scipy.linalg.lapack import dpocon
 
-from .covariance import CONDITION_LIMIT, CovarianceSpec, inverse_covariance
+from .covariance import CONDITION_LIMIT
 from .errors import (
     ConditioningError,
     DegenerateFeatureError,
@@ -172,18 +172,11 @@ def naive_bayes_statistics(stats: TrainedStats, pooled_variances, Z) -> np.ndarr
     return -score  # assign to group 1 when the projection is positive
 
 
-def oracle_statistics(mu1, mu2, sigma: CovarianceSpec, Z,
-                      sigma_inv: np.ndarray | None = None) -> np.ndarray:
-    """Fisher's rule with the true parameters.
-
-    ``sigma_inv`` is Sigma^-1 when the caller already holds it; it depends
-    on ``sigma`` only, so a caller scoring many samples builds it once.
-    """
+def oracle_statistics(mu1, mu2, sigma_inv, Z) -> np.ndarray:
+    """Fisher's rule with the true means and the true Sigma^-1."""
     mu1 = np.asarray(mu1, dtype=float)
     mu2 = np.asarray(mu2, dtype=float)
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if sigma_inv is None:
-        sigma_inv = inverse_covariance(sigma)
     w = sigma_inv @ (mu1 - mu2)
     score = (Z - (mu1 + mu2) / 2.0) @ w
     return -score

@@ -53,9 +53,6 @@ class LabeledDataset:
         mask = np.array([lab == want for lab in self.labels])
         return self.features[mask]
 
-    def group_sizes(self) -> tuple[int, int]:
-        return self.group(1).shape[0], self.group(2).shape[0]
-
     def with_label_order(self, label_set: tuple[str, str]) -> "LabeledDataset":
         return LabeledDataset(self.features, self.labels, label_set,
                               self.feature_names)

@@ -8,6 +8,11 @@ independent work units: each derives its own RNG stream from
 (master_seed, rep_index), so results are bit-identical regardless of how
 many workers execute them.
 
+What depends on the config alone -- Gamma, Sigma^-1 for the oracle, a
+fixed mean difference or mu2, and the delocalized scale e -- is a lazy
+member of ``ExperimentConfig``, built on first use and shared by every
+replication in the process and by the theory overlay.
+
 Every replication runs on one BLAS thread: its matrices are small
 (p <= 500), so OpenBLAS threads cost more than they save, and with
 ``workers > 1`` they would compete with the pool for the same cores.
@@ -20,6 +25,7 @@ import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from .covariance import (
 from .errors import DomainError, NumericalError, SingularityError
 from .model import (
     InnovationSpec,
-    PopulationPair,
+    PopulationModel,
     ScenarioSpec,
     delocalized_scale,
     localized_distance,
@@ -164,6 +170,39 @@ class ExperimentConfig:
     def test2(self) -> int:
         return self.m2 if self.m2 is not None else self.n2
 
+    @cached_property
+    def gamma(self) -> MixingMatrix:
+        """Gamma, the symmetric root of Sigma that mixes the innovations."""
+        return MixingMatrix.from_spec(self.covariance)
+
+    @cached_property
+    def sigma_inv(self) -> np.ndarray:
+        """Sigma^-1, read by the oracle."""
+        return inverse_covariance(self.covariance)
+
+    @cached_property
+    def fixed_delta(self) -> np.ndarray | None:
+        """The known mean difference mu2 - mu1 (mu1 = 0), or None if uniform."""
+        if self.mu2_override is not None:
+            return self.mu2_override
+        if self.scenario.kind == "localized":
+            return localized_mu2(self.scenario.n0, self.p)
+        return None
+
+    @cached_property
+    def fixed_mu2(self) -> np.ndarray | None:
+        """The mu2 shared by all replications, or None when redrawn per rep."""
+        if self.fixed_delta is not None or self.scenario.redraw_mu2:
+            return self.fixed_delta
+        rng = np.random.default_rng([self.master_seed, FIXED_MU_STREAM])
+        return make_scenario_means(self.scenario, self.covariance, rng,
+                                   self.mean_scale)[1]
+
+    @cached_property
+    def mean_scale(self) -> float:
+        """The scale e of the delocalized uniform law of mu2."""
+        return delocalized_scale(self.scenario, self.covariance)
+
 
 @dataclass
 class ClassifierResult:
@@ -186,58 +225,27 @@ class ExperimentResult:
     classifiers: dict[str, ClassifierResult]
 
 
-def _fixed_delta(config: ExperimentConfig) -> np.ndarray | None:
-    """The known mean difference mu2 - mu1 (mu1 = 0), or None if uniform."""
-    if config.mu2_override is not None:
-        return config.mu2_override
-    if config.scenario.kind == "localized":
-        return localized_mu2(config.scenario.n0, config.p)
-    return None
-
-
-def _fixed_mu2(config: ExperimentConfig) -> np.ndarray | None:
-    """The mu2 shared by all replications, or None when redrawn per rep."""
-    mu2 = _fixed_delta(config)
-    if mu2 is None and not config.scenario.redraw_mu2:
-        rng = np.random.default_rng([config.master_seed, FIXED_MU_STREAM])
-        mu2 = make_scenario_means(config.scenario, config.covariance, rng)[1]
-    return mu2
-
-
-def run_replication(config: ExperimentConfig, rep_index: int,
-                    gamma: MixingMatrix | None = None,
-                    fixed_mu2: np.ndarray | None = None,
-                    scale: float | None = None,
-                    sigma_inv: np.ndarray | None = None,
+def run_replication(config: ExperimentConfig, rep_index: int
                     ) -> dict[str, tuple[int, int]]:
-    """One replication; returns per-classifier (group-1, group-2) miscounts.
-
-    ``gamma``, ``fixed_mu2``, ``scale`` and ``sigma_inv`` (Sigma^-1, for
-    the oracle) depend on the config only; a caller running many
-    replications computes them once and passes them.
-    """
+    """One replication; returns per-classifier (group-1, group-2) miscounts."""
     rng = np.random.default_rng([config.master_seed, rep_index])
-    if gamma is None:
-        gamma = MixingMatrix.from_spec(config.covariance)
-    if fixed_mu2 is None:
-        fixed_mu2 = _fixed_mu2(config)
     mu1 = np.zeros(config.p)
-    if fixed_mu2 is not None:
-        mu2 = fixed_mu2
-    else:
+    mu2 = config.fixed_mu2
+    if mu2 is None:
         mu2 = make_scenario_means(config.scenario, config.covariance, rng,
-                                  scale)[1]
-    pair = PopulationPair(mu1, mu2, config.covariance, gamma,
-                          config.innovation1, config.innovation2)
+                                  config.mean_scale)[1]
+    pop1 = PopulationModel(mu1, config.gamma, config.innovation1)
+    pop2 = PopulationModel(mu2, config.gamma, config.innovation2)
+    truth = ((mu1, mu2, config.sigma_inv)
+             if "oracle" in config.classifiers else None)
 
     try:
-        X = pair.population(1).sample(config.n1, rng)
-        Y = pair.population(2).sample(config.n2, rng)
-        Z1 = pair.population(1).sample(config.test1, rng)
-        Z2 = pair.population(2).sample(config.test2, rng)
+        X = pop1.sample(config.n1, rng)
+        Y = pop2.sample(config.n2, rng)
+        Z1 = pop1.sample(config.test1, rng)
+        Z2 = pop2.sample(config.test2, rng)
         Z = np.vstack([Z1, Z2])
-        scores = rule_statistics(config.classifiers, X, Y, Z,
-                                 (mu1, mu2, config.covariance, sigma_inv))
+        scores = rule_statistics(config.classifiers, X, Y, Z, truth)
     except NumericalError as exc:
         raise type(exc)(f"replication {rep_index}: {exc}") from exc
     return {clf: (int(np.sum(s[:config.test1] > 0)),
@@ -250,8 +258,7 @@ def rule_statistics(classifiers, X, Y, Z, truth=None
     """Fit once on the groups X and Y; each rule's statistics for rows of Z.
 
     A statistic <= 0 assigns its row to group 1. ``truth`` is
-    (mu1, mu2, sigma, sigma_inv), read by the oracle only; ``sigma_inv``
-    may be None.
+    (mu1, mu2, Sigma^-1), read by the oracle only.
     """
     stats = classify.fit(X, Y, need_scatter="d" in classifiers)
     out: dict[str, np.ndarray] = {}
@@ -264,9 +271,7 @@ def rule_statistics(classifiers, X, Y, Z, truth=None
             out[clf] = classify.naive_bayes_statistics(
                 stats, pooled_variances_from_data(X, Y), Z)
         else:
-            mu1, mu2, sigma, sigma_inv = truth
-            out[clf] = classify.oracle_statistics(mu1, mu2, sigma, Z,
-                                                  sigma_inv)
+            out[clf] = classify.oracle_statistics(*truth, Z)
     return out
 
 
@@ -282,25 +287,21 @@ def pooled_variances_from_data(X, Y) -> np.ndarray:
 
 def _run_chunk(args) -> list[dict[str, tuple[int, int]]]:
     config, indices = args
-    gamma = MixingMatrix.from_spec(config.covariance)
-    fixed = _fixed_mu2(config)
-    scale = (delocalized_scale(config.scenario, config.covariance)
-             if fixed is None else None)
-    sigma_inv = (inverse_covariance(config.covariance)
-                 if "oracle" in config.classifiers else None)
-    return [run_replication(config, r, gamma, fixed, scale, sigma_inv)
-            for r in indices]
+    return [run_replication(config, r) for r in indices]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1
                    ) -> ExperimentResult:
     """Run all replications and aggregate medians / standard errors.
 
+    The pool holds at most one process per replication and per CPU.
     Runs with every loaded OpenBLAS on one thread and restores the
     caller's thread counts on return or on error.
     """
     if config.reps < 1:
         raise DomainError("reps must be >= 1")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     previous = _pin_one_blas_thread()
     try:
         return _run_pinned(config, workers)
@@ -310,19 +311,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1
 
 
 def _run_pinned(config: ExperimentConfig, workers: int) -> ExperimentResult:
-    indices = list(range(config.reps))
-    if workers <= 1 or config.reps == 1:
-        counts = _run_chunk((config, indices))
+    size = min(workers, config.reps, os.cpu_count() or 1)
+    if size == 1:
+        counts = _run_chunk((config, range(config.reps)))
     else:
-        chunks = [(config, indices[i::workers]) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers,
+        # contiguous chunks, so map returns the counts in replication order
+        chunks = [(config, range(config.reps * i // size,
+                                 config.reps * (i + 1) // size))
+                  for i in range(size)]
+        with ProcessPoolExecutor(max_workers=size,
                                  initializer=_pin_one_blas_thread) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
-        # reassemble in replication order regardless of scheduling
-        counts = [None] * config.reps
-        for (_, idx), part in zip(chunks, parts):
-            for r, row in zip(idx, part):
-                counts[r] = row
+            counts = [row for part in pool.map(_run_chunk, chunks)
+                      for row in part]
 
     m1, m2 = config.test1, config.test2
     preds = theory_predictions(config) if config.theory_overlay else {}
@@ -354,14 +354,14 @@ def trace_inputs(config: ExperimentConfig) -> TheoryInputsT:
     """
     sigma = config.covariance
     innov1, innov2 = config.innovation1, config.innovation2
-    delta = _fixed_delta(config)
+    delta = config.fixed_delta
     if delta is not None:
         return TheoryInputsT.from_delta(delta, sigma, config.n1, config.n2,
                                         innov1, innov2)
     # entries i.i.d. Uniform(e/2, 3e/2), mean e, variance e^2/12
-    e = delocalized_scale(config.scenario, sigma)
+    e = config.mean_scale
     sig = build_covariance(sigma)
-    g3 = MixingMatrix.from_spec(sigma).cube()
+    g3 = config.gamma.cube()
     e2 = e * e
     return TheoryInputsT(
         sigma, config.n1, config.n2, trace_sigma_squared(sigma),
@@ -381,7 +381,7 @@ def theory_predictions(config: ExperimentConfig) -> dict[str, float | None]:
     if "t" in preds:
         preds["t"] = 100.0 * t_misclass(trace_inputs(config), "v1")
     if "d" in preds or "oracle" in preds:
-        delta = _fixed_delta(config)
+        delta = config.fixed_delta
         delta2 = (mahalanobis(delta, config.covariance) if delta is not None
                   else localized_distance(config.scenario.n0,
                                           config.covariance))

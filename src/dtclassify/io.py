@@ -216,37 +216,6 @@ def parse_output_options(path, override_dir=None, override_formats=None
     return OutputOptions(directory, formats)
 
 
-def config_to_text(config: ExperimentConfig) -> str:
-    """Serialize a config back to the INI format (round-trips via parse)."""
-    lines = ["[experiment]",
-             f"p = {config.p}", f"n1 = {config.n1}", f"n2 = {config.n2}",
-             f"m1 = {config.test1}", f"m2 = {config.test2}",
-             f"reps = {config.reps}", f"seed = {config.master_seed}",
-             "", "[covariance]", f"kind = {config.covariance.kind}"]
-    if config.covariance.rho is not None:
-        lines.append(f"rho = {fmt(config.covariance.rho)}")
-    if config.covariance.sigmas is not None:
-        lines.append("sigmas = " + ",".join(fmt(v) for v in
-                                            config.covariance.sigmas))
-    lines += ["", "[scenario]", f"kind = {config.scenario.kind}",
-              f"n0 = {config.scenario.n0}",
-              f"redraw_mu2 = {str(config.scenario.redraw_mu2).lower()}"]
-    lines += ["", "[innovation]", f"kind = {config.innovation1.kind}"]
-    if config.innovation1.df is not None:
-        lines.append(f"df = {config.innovation1.df}")
-    if config.innovation1.negate:
-        lines.append("negate = true")
-    if config.innovation2 != config.innovation1:
-        lines.append(f"kind2 = {config.innovation2.kind}")
-        if config.innovation2.df is not None:
-            lines.append(f"df2 = {config.innovation2.df}")
-        if config.innovation2.negate:
-            lines.append("negate2 = true")
-    lines += ["", "[classifiers]",
-              "list = " + ",".join(config.classifiers), ""]
-    return "\n".join(lines)
-
-
 def fmt(value) -> str:
     """Shortest round-trip formatting for numbers; empty for missing."""
     if value is None:

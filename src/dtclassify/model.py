@@ -167,48 +167,3 @@ class PopulationModel:
         if self.gamma.is_identity:
             return star + self.mu
         return star @ self.gamma.gamma + self.mu  # Gamma symmetric
-
-
-@dataclass(frozen=True)
-class PopulationPair:
-    """Two populations sharing a covariance and mixing matrix."""
-
-    mu1: np.ndarray
-    mu2: np.ndarray
-    sigma: CovarianceSpec
-    gamma: MixingMatrix
-    innov1: InnovationSpec
-    innov2: InnovationSpec
-
-    @classmethod
-    def from_parts(cls, mu1, mu2, sigma: CovarianceSpec,
-                   innov1: InnovationSpec, innov2: InnovationSpec | None = None
-                   ) -> "PopulationPair":
-        return cls(
-            np.asarray(mu1, dtype=float),
-            np.asarray(mu2, dtype=float),
-            sigma,
-            MixingMatrix.from_spec(sigma),
-            innov1,
-            innov2 or innov1,
-        )
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.mu2 - self.mu1
-
-    def population(self, which: int) -> PopulationModel:
-        if which == 1:
-            return PopulationModel(self.mu1, self.gamma, self.innov1)
-        if which == 2:
-            return PopulationModel(self.mu2, self.gamma, self.innov2)
-        raise DomainError("population index must be 1 or 2")
-
-    def mu_tilde(self) -> np.ndarray:
-        """Gamma^{-1} (mu2 - mu1)."""
-        if self.gamma.is_identity:
-            return self.delta.copy()
-        return np.linalg.solve(self.gamma.gamma, self.delta)
-
-    def mahalanobis(self) -> float:
-        return mahalanobis(self.delta, self.sigma)

@@ -154,9 +154,9 @@ def _scaled_reps(base: int, scale: float) -> int:
         raise DomainError(f"scale must lie in (0, 1], got {scale}")
     reps = int(round(base * scale))
     if reps < 50:
-        raise DomainError(
-            f"scale {scale} gives only {reps} replications; need >= 50"
-        )
+        got = ("requested" if scale == 1.0
+               else f"at scale {scale} give only {reps}")
+        raise DomainError(f"{base} replications {got}; need >= 50")
     return reps
 
 

@@ -12,7 +12,7 @@ from dtclassify.classify import (
     oracle_statistics,
     t_statistics,
 )
-from dtclassify.covariance import CovarianceSpec
+from dtclassify.covariance import CovarianceSpec, inverse_covariance
 from dtclassify.errors import (
     ConditioningError,
     DegenerateFeatureError,
@@ -247,7 +247,7 @@ class TestOracle:
     def test_true_means_classified_correctly(self):
         spec = CovarianceSpec.equal_corr(3, 0.4)
         mu1, mu2 = np.zeros(3), np.ones(3)
-        s = oracle_statistics(mu1, mu2, spec, [mu1, mu2])
+        s = oracle_statistics(mu1, mu2, inverse_covariance(spec), [mu1, mu2])
         assert s[0] <= 0 < s[1]
 
     def test_error_rate_matches_normal_theory(self):
@@ -260,7 +260,7 @@ class TestOracle:
         mu2 = np.full(4, 0.8)
         rng = np.random.default_rng(13)
         Z = rng.standard_normal((200000, 4))  # population 1
-        s = oracle_statistics(mu1, mu2, spec, Z)
+        s = oracle_statistics(mu1, mu2, inverse_covariance(spec), Z)
         emp = np.mean(s > 0)
         target = normal_cdf(-np.sqrt(mahalanobis(mu2 - mu1, spec)) / 2.0)
         assert emp == pytest.approx(target, abs=0.005)

@@ -68,6 +68,13 @@ class TestSimulate:
         assert code == 1
         assert "p < n1+n2-2" in capsys.readouterr().err
 
+    def test_workers_below_one_exits_one(self, tmp_path, capsys):
+        config = write(tmp_path, SMALL)
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path), "--workers", "0"])
+        assert code == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+
     def test_bad_config_key_exits_one(self, tmp_path, capsys):
         config = write(tmp_path, SMALL + "\n[experiment]\n")
         # duplicate section is a parse error

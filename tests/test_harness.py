@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dtclassify import classify, harness
-from dtclassify.covariance import CovarianceSpec
+from dtclassify.covariance import CovarianceSpec, MixingMatrix
 from dtclassify.data import LabeledDataset
 from dtclassify.errors import ConditioningError, DomainError, SingularityError
 from dtclassify.harness import (
@@ -136,6 +136,38 @@ class TestReplications:
         assert not r.se_defined
         assert r.se_pct == 0.0
 
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(DomainError, match="workers"):
+            run_experiment(small_config(reps=2), workers=0)
+
+    @pytest.mark.parametrize("cpus, size", [(3, 3), (64, 5), (None, None)])
+    def test_pool_capped_at_reps_and_cpus(self, monkeypatch, cpus, size):
+        # a fake pool records its size and maps in-process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        config = small_config(reps=5)
+        serial = run_experiment(config)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        pooled = run_experiment(config, workers=10**6)
+        assert sizes == ([] if size is None else [size])
+        for clf in config.classifiers:
+            assert np.array_equal(serial.classifiers[clf].per_rep_errors,
+                                  pooled.classifiers[clf].per_rep_errors)
+
     def test_pooled_variances_helper(self):
         rng = np.random.default_rng(30)
         X = rng.standard_normal((12, 4))
@@ -143,6 +175,64 @@ class TestReplications:
         manual = (np.sum((X - X.mean(0)) ** 2, 0)
                   + np.sum((Y - Y.mean(0)) ** 2, 0)) / 20
         assert np.allclose(pooled_variances_from_data(X, Y), manual)
+
+
+class TestConfigMembers:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count Gamma builds, oracle inverses and delocalized scales."""
+        counts = {"gamma": 0, "sigma_inv": 0, "scale": 0}
+        real_from_spec = MixingMatrix.from_spec.__func__
+
+        def from_spec(cls, spec):
+            counts["gamma"] += 1
+            return real_from_spec(cls, spec)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(MixingMatrix, "from_spec",
+                            classmethod(from_spec))
+        monkeypatch.setattr(harness, "inverse_covariance", counted(
+            "sigma_inv", harness.inverse_covariance))
+        monkeypatch.setattr(harness, "delocalized_scale", counted(
+            "scale", harness.delocalized_scale))
+        return counts
+
+    def test_construction_builds_nothing(self, calls):
+        small_config(covariance=CovarianceSpec.equal_corr(10, 0.3))
+        assert calls == {"gamma": 0, "sigma_inv": 0, "scale": 0}
+
+    def test_one_build_per_run_with_every_rule_and_the_overlay(self, calls):
+        config = small_config(covariance=CovarianceSpec.equal_corr(10, 0.3),
+                              reps=4)
+        assert config.theory_overlay and "oracle" in config.classifiers
+        run_experiment(config, workers=1)
+        assert calls == {"gamma": 1, "sigma_inv": 1, "scale": 1}
+
+    def test_t_only_run_never_reads_sigma_inv(self, calls):
+        config = small_config(classifiers=("t",), reps=3)
+        run_experiment(config)
+        assert calls["sigma_inv"] == 0
+        assert "sigma_inv" not in vars(config)
+
+    def test_fixed_mu2_drawn_from_its_own_stream(self):
+        config = small_config(
+            scenario=ScenarioSpec("delocalized", 5, redraw_mu2=False))
+        rng = np.random.default_rng([42, harness.FIXED_MU_STREAM])
+        e = harness.delocalized_scale(config.scenario, config.covariance)
+        assert np.array_equal(config.fixed_mu2,
+                              rng.uniform(e / 2.0, 3.0 * e / 2.0, 10))
+        assert config.fixed_delta is None
+
+    def test_known_mean_difference_is_fixed(self):
+        config = small_config(scenario=ScenarioSpec("localized", 3))
+        assert np.array_equal(config.fixed_delta, [1.0] * 3 + [0.0] * 7)
+        assert config.fixed_mu2 is config.fixed_delta
+        assert small_config().fixed_mu2 is None
 
 
 def blas_threads() -> dict[str, int]:
@@ -295,7 +385,7 @@ class TestClassifyDataset:
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(classify, "fit", counted_fit)
-        truth = (np.zeros(3), np.ones(3), CovarianceSpec.identity(3), None)
+        truth = (np.zeros(3), np.ones(3), np.eye(3))
         out = rule_statistics(("d", "t", "nb", "oracle"), X, Y, Z, truth)
         assert fits == [{"need_scatter": True}]
         stats = real_fit(X, Y)
@@ -304,7 +394,7 @@ class TestClassifyDataset:
             "t": classify.t_statistics(stats, Z),
             "nb": classify.naive_bayes_statistics(
                 stats, pooled_variances_from_data(X, Y), Z),
-            "oracle": classify.oracle_statistics(*truth[:3], Z),
+            "oracle": classify.oracle_statistics(*truth, Z),
         }
         assert list(out) == list(expected)
         for clf, s in expected.items():

@@ -129,12 +129,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             dtio.parse_config(tmp_path / "absent.ini")
 
-    def test_roundtrip_through_text(self, tmp_path):
-        config = dtio.parse_config(write(tmp_path, FULL))
-        text = dtio.config_to_text(config)
-        again = dtio.parse_config(write(tmp_path, text, "again.ini"))
-        assert again == config
-
 
 class TestOutputOptions:
     def test_defaults_to_cwd_and_both_formats(self, tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ from dtclassify.errors import CalibrationError, DomainError
 from dtclassify.model import (
     InnovationSpec,
     PopulationModel,
-    PopulationPair,
     ScenarioSpec,
     delocalized_scale,
     localized_distance,
@@ -153,20 +152,3 @@ class TestSampling:
                                 InnovationSpec("normal"))
         with pytest.raises(DomainError):
             model.sample(0, np.random.default_rng(0))
-
-    def test_pair_delta_and_mu_tilde(self):
-        spec = CovarianceSpec.diagonal([4.0, 9.0])
-        pair = PopulationPair.from_parts([1.0, 1.0], [3.0, 4.0], spec,
-                                         InnovationSpec("normal"))
-        assert np.allclose(pair.delta, [2.0, 3.0])
-        # Gamma = diag(2, 3), so Gamma^{-1} delta = (1, 1)
-        assert np.allclose(pair.mu_tilde(), [1.0, 1.0])
-        assert pair.mahalanobis() == pytest.approx(2.0)
-
-    def test_pair_population_index(self):
-        pair = PopulationPair.from_parts([0.0], [1.0],
-                                         CovarianceSpec.identity(1),
-                                         InnovationSpec("normal"))
-        assert np.array_equal(pair.population(2).mu, [1.0])
-        with pytest.raises(DomainError):
-            pair.population(3)

@@ -49,6 +49,17 @@ class TestBookkeeping:
         with pytest.raises(DomainError, match="need >= 50"):
             reproduce(target, table_reps=0)
 
+    def test_small_reps_blamed_on_the_count(self):
+        with pytest.raises(DomainError) as exc:
+            reproduce("table4", table_reps=30)
+        assert str(exc.value) == "30 replications requested; need >= 50"
+
+    def test_small_scale_blamed_on_the_scale(self):
+        with pytest.raises(DomainError) as exc:
+            reproduce("table1", scale=0.01)
+        assert str(exc.value) == \
+            "1000 replications at scale 0.01 give only 10; need >= 50"
+
 
 class TestReports:
     def test_table1_rows_carry_results_and_references(self):
