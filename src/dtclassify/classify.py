@@ -19,6 +19,10 @@ statistic <= 0 (ties resolve to group 1 for reproducibility).
   variances.
 * ``oracle_statistics``      -- Fisher's rule with the true means and
   inverse covariance.
+
+When n1 = n2 (so alpha1 = alpha2 = alpha) every rule is affine in the query
+point, -weight (z - m)' u with m the midpoint of the two means;
+``linear_forms`` gives each rule's offset and vector in that form.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
 from scipy.linalg.lapack import dpocon
 
-from .covariance import CONDITION_LIMIT
+from . import covariance
 from .errors import (
     ConditioningError,
     DegenerateFeatureError,
@@ -92,17 +96,42 @@ def _factor_scatter(A: np.ndarray):
         factor = cho_factor(A, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"pooled scatter is singular: {exc}") from exc
-    # LAPACK's 1-norm condition estimate from the Cholesky factor
-    rcond, info = dpocon(factor[0], np.abs(A).sum(axis=0).max(), uplo="L")
+    _check_condition(factor[0], A, "pooled scatter")
+    return factor
+
+
+def _check_condition(L, A, name: str) -> None:
+    """Raise ConditioningError when A = L L' is too ill-conditioned.
+
+    The estimate is LAPACK dpocon's 1-norm condition number of A from its
+    lower Cholesky factor L, against ``covariance.CONDITION_LIMIT``.
+    """
+    rcond, info = dpocon(L, np.abs(A).sum(axis=0).max(), uplo="L")
     if info != 0:
         raise ConditioningError(f"dpocon failed with info = {info}")
-    if rcond * CONDITION_LIMIT < 1.0:
+    if rcond * covariance.CONDITION_LIMIT < 1.0:
         cond_est = 1.0 / rcond if rcond > 0 else np.inf
         raise ConditioningError(
-            f"pooled scatter condition estimate {cond_est:.3g} exceeds "
-            f"{CONDITION_LIMIT:g}; p/n too close to 1"
+            f"{name} condition estimate {cond_est:.3g} exceeds "
+            f"{covariance.CONDITION_LIMIT:g}; p/n too close to 1"
         )
-    return factor
+
+
+def whitened_scatter_solver(T, gamma):
+    """v -> A^-1 v for the pooled scatter A = Gamma T T' Gamma.
+
+    T is the square Bartlett factor of W = T T', the pooled scatter of the
+    whitened samples Gamma^-1 x. Checks W's condition first: dpocon on T
+    estimates cond_1(W), which is A's own for identity Sigma and the
+    whitened scatter's otherwise.
+    """
+    _check_condition(T, T @ T.T, "whitened pooled scatter")
+
+    def solve(v):
+        y = solve_triangular(T, gamma.unmix(v), lower=True)
+        return gamma.unmix(solve_triangular(T, y, lower=True, trans="T"))
+
+    return solve
 
 
 def d_statistics(stats: TrainedStats, Z) -> np.ndarray:
@@ -161,15 +190,20 @@ def t_statistics(stats: TrainedStats, Z) -> np.ndarray:
 
 
 def naive_bayes_statistics(stats: TrainedStats, pooled_variances, Z) -> np.ndarray:
+    d = _positive_variances(pooled_variances)
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    w = (stats.mean_x - stats.mean_y) / d
+    score = (Z - (stats.mean_x + stats.mean_y) / 2.0) @ w
+    return -score  # assign to group 1 when the projection is positive
+
+
+def _positive_variances(pooled_variances) -> np.ndarray:
     d = np.asarray(pooled_variances, dtype=float)
     if np.any(d <= 0):
         raise DegenerateFeatureError(
             f"{int(np.sum(d <= 0))} feature(s) have zero pooled variance"
         )
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    w = (stats.mean_x - stats.mean_y) / d
-    score = (Z - (stats.mean_x + stats.mean_y) / 2.0) @ w
-    return -score  # assign to group 1 when the projection is positive
+    return d
 
 
 def oracle_statistics(mu1, mu2, sigma_inv, Z) -> np.ndarray:
@@ -180,3 +214,36 @@ def oracle_statistics(mu1, mu2, sigma_inv, Z) -> np.ndarray:
     w = sigma_inv @ (mu1 - mu2)
     score = (Z - (mu1 + mu2) / 2.0) @ w
     return -score
+
+
+def linear_forms(classifiers, stats: TrainedStats, scatter_solve=None,
+                 pooled_variances=None, truth=None
+                 ) -> dict[str, tuple[float, np.ndarray]]:
+    """Each rule's statistic as c + w'z, for equal group sizes.
+
+    With alpha1 = alpha2 = alpha every rule is -weight (z - m)' u:
+    ``d`` takes u = A^-1 (xbar - ybar) from ``scatter_solve`` and ``t``
+    u = xbar - ybar, both with weight 2 alpha and m = (xbar + ybar) / 2;
+    ``nb`` takes u = (xbar - ybar) / ``pooled_variances`` with weight 1;
+    the oracle takes u = Sigma^-1 (mu1 - mu2), m = (mu1 + mu2) / 2 and
+    weight 1 from ``truth`` = (mu1, mu2, Sigma^-1). Returns
+    {rule: (c, w)} with c = weight m'u and w = -weight u.
+    """
+    if stats.n1 != stats.n2:
+        raise DomainError("linear forms need n1 = n2")
+    diff = stats.mean_x - stats.mean_y
+    mid = (stats.mean_x + stats.mean_y) / 2.0
+    forms = {}
+    for clf in classifiers:
+        m, weight = mid, 2.0 * stats.alpha1
+        if clf == "d":
+            u = scatter_solve(diff)
+        elif clf == "t":
+            u = diff
+        elif clf == "nb":
+            u, weight = diff / _positive_variances(pooled_variances), 1.0
+        else:
+            mu1, mu2, sigma_inv = truth
+            u, m, weight = sigma_inv @ (mu1 - mu2), (mu1 + mu2) / 2.0, 1.0
+        forms[clf] = (weight * float(m @ u), -weight * u)
+    return forms

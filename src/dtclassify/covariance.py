@@ -16,6 +16,7 @@ is factorized numerically with a conditioning guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -257,6 +258,18 @@ class MixingMatrix:
     @property
     def is_identity(self) -> bool:
         return self.source.kind == "identity"
+
+    def mix(self, M) -> np.ndarray:
+        """Gamma @ M; M itself for the identity."""
+        return M if self.is_identity else self.gamma @ M
+
+    def unmix(self, M) -> np.ndarray:
+        """Gamma^-1 @ M; M itself for the identity."""
+        return M if self.is_identity else self._inverse @ M
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.gamma)
 
     def cube(self) -> np.ndarray:
         """Gamma^3 = Sigma^{3/2}."""

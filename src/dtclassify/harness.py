@@ -1,12 +1,16 @@
 """Replicated Monte Carlo classification experiments.
 
 A replication draws fresh training and test samples (and, in the
-delocalized scenario, optionally a fresh second mean vector), fits once,
-and scores every requested classifier through ``rule_statistics``, which
-also scores labeled data in ``classify_dataset``. Replications are
-independent work units: each derives its own RNG stream from
-(master_seed, rep_index), so results are bit-identical regardless of how
-many workers execute them.
+delocalized scenario, optionally a fresh second mean vector) and counts
+each requested classifier's test errors. ``row_replication`` draws the
+rows, fits once and scores every rule through ``rule_statistics``, which
+also scores labeled data in ``classify_dataset``. For normal innovations
+and n1 = n2, ``reduced_replication`` draws the same miscounts in law from
+the sufficient statistics and the rules' projections of the test rows;
+``run_replication`` picks it then (``ExperimentConfig.sampler``).
+Replications are independent work units: each derives its own RNG stream
+from (master_seed, rep_index), so results are bit-identical regardless of
+how many workers execute them.
 
 What depends on the config alone -- Gamma, Sigma^-1 for the oracle, a
 fixed mean difference or mu2, and the delocalized scale e -- is a lazy
@@ -43,6 +47,7 @@ from .model import (
     InnovationSpec,
     PopulationModel,
     ScenarioSpec,
+    bartlett_factor,
     delocalized_scale,
     localized_distance,
     localized_mu2,
@@ -170,6 +175,19 @@ class ExperimentConfig:
     def test2(self) -> int:
         return self.m2 if self.m2 is not None else self.n2
 
+    @property
+    def sampler(self) -> str:
+        """"reduced" for normal innovations and n1 = n2, else "rows".
+
+        Both samplers are exact; the reduced one needs every rule's
+        statistic to be affine in the test point (alpha1 = alpha2) and the
+        training data to enter only through (xbar, ybar, A), which holds
+        for normal samples.
+        """
+        normal = (self.innovation1.kind == "normal"
+                  and self.innovation2.kind == "normal")
+        return "reduced" if normal and self.n1 == self.n2 else "rows"
+
     @cached_property
     def gamma(self) -> MixingMatrix:
         """Gamma, the symmetric root of Sigma that mixes the innovations."""
@@ -228,12 +246,25 @@ class ExperimentResult:
 def run_replication(config: ExperimentConfig, rep_index: int
                     ) -> dict[str, tuple[int, int]]:
     """One replication; returns per-classifier (group-1, group-2) miscounts."""
-    rng = np.random.default_rng([config.master_seed, rep_index])
-    mu1 = np.zeros(config.p)
+    if config.sampler == "reduced":
+        return reduced_replication(config, rep_index)
+    return row_replication(config, rep_index)
+
+
+def _means(config: ExperimentConfig, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(mu1, mu2) of one replication; mu1 = 0, mu2 fixed or drawn first."""
     mu2 = config.fixed_mu2
     if mu2 is None:
         mu2 = make_scenario_means(config.scenario, config.covariance, rng,
                                   config.mean_scale)[1]
+    return np.zeros(config.p), mu2
+
+
+def row_replication(config: ExperimentConfig, rep_index: int
+                    ) -> dict[str, tuple[int, int]]:
+    """A replication from n1 + n2 + m1 + m2 sampled rows; any config."""
+    rng = np.random.default_rng([config.master_seed, rep_index])
+    mu1, mu2 = _means(config, rng)
     pop1 = PopulationModel(mu1, config.gamma, config.innovation1)
     pop2 = PopulationModel(mu2, config.gamma, config.innovation2)
     truth = ((mu1, mu2, config.sigma_inv)
@@ -251,6 +282,61 @@ def run_replication(config: ExperimentConfig, rep_index: int
     return {clf: (int(np.sum(s[:config.test1] > 0)),
                   int(np.sum(s[config.test1:] <= 0)))
             for clf, s in scores.items()}
+
+
+def reduced_replication(config: ExperimentConfig, rep_index: int
+                        ) -> dict[str, tuple[int, int]]:
+    """A replication drawn from its sufficient statistics, exact in law.
+
+    For normal innovations and n1 = n2 only (``config.sampler``). The
+    rules see the training samples only through xbar ~ N(mu1, Sigma/n1),
+    ybar ~ N(mu2, Sigma/n2) and, for the D-rule and naive Bayes, the
+    pooled scatter A = Gamma T T' Gamma with T from Bartlett's
+    decomposition. Each rule's statistic is then c + w'z, and
+    ``draw_test_statistics`` draws the test rows' statistics directly.
+    """
+    rng = np.random.default_rng([config.master_seed, rep_index])
+    mu1, mu2 = _means(config, rng)
+    gamma, p, rules = config.gamma, config.p, config.classifiers
+    stats = classify.TrainedStats(
+        mu1 + gamma.mix(rng.standard_normal(p)) / np.sqrt(config.n1),
+        mu2 + gamma.mix(rng.standard_normal(p)) / np.sqrt(config.n2),
+        config.n1, config.n2)
+    solve = pooled_variances = None
+    try:
+        if "d" in rules or "nb" in rules:
+            dof = config.n1 + config.n2 - 2
+            T = bartlett_factor(p, dof, rng)
+            if "nb" in rules:
+                pooled_variances = np.sum(gamma.mix(T) ** 2, axis=1) / dof
+            if "d" in rules:
+                solve = classify.whitened_scatter_solver(T, gamma)
+        truth = (mu1, mu2, config.sigma_inv) if "oracle" in rules else None
+        forms = classify.linear_forms(rules, stats, solve, pooled_variances,
+                                      truth)
+    except NumericalError as exc:
+        raise type(exc)(f"replication {rep_index}: {exc}") from exc
+
+    s1 = draw_test_statistics(forms, gamma, mu1, config.test1, rng)
+    s2 = draw_test_statistics(forms, gamma, mu2, config.test2, rng)
+    mis1, mis2 = np.sum(s1 > 0, axis=0), np.sum(s2 <= 0, axis=0)
+    return {clf: (int(mis1[i]), int(mis2[i])) for i, clf in enumerate(forms)}
+
+
+def draw_test_statistics(forms, gamma: MixingMatrix, mu, m: int, rng
+                         ) -> np.ndarray:
+    """The k rules' statistics of m rows z ~ N(mu, Gamma^2), exactly in law.
+
+    ``forms`` maps each rule to (c, w), its statistic c + w'z. A row
+    z = mu + Gamma zeta gives c + W'mu + V'zeta with V = Gamma W. With
+    V = QR (Q with orthonormal columns), V'zeta = R'(Q'zeta) and
+    Q'zeta ~ N(0, I): min(p, k) normals per row keep the joint law of the
+    rules, also when columns of W are zero or coincide. Returns m x k.
+    """
+    c = np.array([form[0] for form in forms.values()])
+    W = np.column_stack([form[1] for form in forms.values()])
+    R = np.linalg.qr(gamma.mix(W), mode="r")
+    return c + mu @ W + rng.standard_normal((m, R.shape[0])) @ R
 
 
 def rule_statistics(classifiers, X, Y, Z, truth=None
@@ -357,7 +443,7 @@ def trace_inputs(config: ExperimentConfig) -> TheoryInputsT:
     delta = config.fixed_delta
     if delta is not None:
         return TheoryInputsT.from_delta(delta, sigma, config.n1, config.n2,
-                                        innov1, innov2)
+                                        innov1, innov2, gamma=config.gamma)
     # entries i.i.d. Uniform(e/2, 3e/2), mean e, variance e^2/12
     e = config.mean_scale
     sig = build_covariance(sigma)

@@ -240,7 +240,11 @@ def _innovation_record(spec: InnovationSpec) -> dict:
 
 
 def config_record(config: ExperimentConfig) -> dict:
-    """Every field needed to re-run the experiment, as JSON-ready values."""
+    """Every field needed to re-run the experiment, as JSON-ready values.
+
+    ``sampler`` is derived from the fields, not one of them: it says which
+    replication path drew the per-replication errors.
+    """
     sigmas = config.covariance.sigmas
     mu2 = config.mu2_override
     return {
@@ -258,6 +262,7 @@ def config_record(config: ExperimentConfig) -> dict:
         "classifiers": list(config.classifiers),
         "theory_overlay": config.theory_overlay,
         "mu2_override": None if mu2 is None else mu2.tolist(),
+        "sampler": config.sampler,
     }
 
 

@@ -151,6 +151,25 @@ def make_scenario_means(
     return mu1, mu2
 
 
+def bartlett_factor(p: int, dof: int, rng: np.random.Generator
+                    ) -> np.ndarray:
+    """Lower-trapezoidal T, p x min(p, dof), with T T' ~ W_p(I, dof).
+
+    Bartlett's decomposition (Bartlett 1933; Anderson, *An Introduction to
+    Multivariate Statistical Analysis*, ch. 7): T[i, i]^2 ~ chi^2(dof - i)
+    and T[i, j] ~ N(0, 1) below the diagonal, all independent. For
+    dof >= p, T is square and is the Cholesky factor of T T'. With
+    Gamma Gamma = Sigma, Gamma T T' Gamma ~ W_p(Sigma, dof).
+    """
+    r = min(p, dof)
+    T = np.zeros((p, r))
+    T[np.tri(p, r, k=-1, dtype=bool)] = rng.standard_normal(
+        p * r - r * (r + 1) // 2)
+    T[np.arange(r), np.arange(r)] = np.sqrt(
+        rng.chisquare(dof - np.arange(r)))
+    return T
+
+
 @dataclass(frozen=True)
 class PopulationModel:
     """One population: mean, mixing matrix, and innovation law."""

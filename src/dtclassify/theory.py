@@ -124,15 +124,20 @@ class TheoryInputsT:
     def from_delta(cls, delta, sigma: CovarianceSpec, n1: int, n2: int,
                    innov1: InnovationSpec = InnovationSpec("normal"),
                    innov2: InnovationSpec = InnovationSpec("normal"),
+                   gamma: MixingMatrix | None = None,
                    ) -> "TheoryInputsT":
-        """The terms of a fixed mean difference, from the dense Sigma."""
+        """The terms of a fixed mean difference, from the dense Sigma.
+
+        ``gamma`` is Sigma's mixing matrix when the caller has it already;
+        it is built here otherwise.
+        """
         delta = np.asarray(delta, dtype=float)
         if delta.shape != (sigma.p,):
             raise DomainError(
                 f"delta must have length {sigma.p}, got {delta.shape}"
             )
         sig = build_covariance(sigma)
-        g3 = MixingMatrix.from_spec(sigma).cube()
+        g3 = (gamma or MixingMatrix.from_spec(sigma)).cube()
         return cls(sigma, n1, n2, trace_sigma_squared(sigma),
                    float(delta @ sig @ delta), float(np.sum(g3 @ delta)),
                    float(delta @ delta),

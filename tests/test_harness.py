@@ -213,6 +213,14 @@ class TestConfigMembers:
         run_experiment(config, workers=1)
         assert calls == {"gamma": 1, "sigma_inv": 1, "scale": 1}
 
+    def test_known_mean_difference_overlay_builds_gamma_once(self, calls):
+        # the overlay's 1' Gamma^3 delta reads the config's Gamma
+        config = small_config(covariance=CovarianceSpec.ar1(10, 0.5),
+                              scenario=ScenarioSpec("localized", 3), reps=3)
+        assert config.theory_overlay and config.fixed_delta is not None
+        run_experiment(config, workers=1)
+        assert calls["gamma"] == 1
+
     def test_t_only_run_never_reads_sigma_inv(self, calls):
         config = small_config(classifiers=("t",), reps=3)
         run_experiment(config)
@@ -294,8 +302,10 @@ class TestBlasThreads:
             raise ConditioningError("forced")
 
         monkeypatch.setattr(classify, "fit", ill_conditioned)
+        config = small_config(reps=3, n2=21)  # the row path, which fits
+        assert config.sampler == "rows"
         with pytest.raises(ConditioningError, match="replication 0"):
-            run_experiment(small_config(reps=3))
+            run_experiment(config)
         assert set(blas_threads().values()) == {2}
 
 

@@ -237,6 +237,7 @@ negate2 = true
             mu2_override=record["mu2_override"],
         )
         assert rebuilt == dtio.parse_config(path)
+        assert record["sampler"] == rebuilt.sampler == "rows"
 
     def test_json_records_mu2_override(self, tmp_path):
         config = ExperimentConfig(
@@ -248,6 +249,7 @@ negate2 = true
                                     tmp_path)
         record = json.loads(path.read_text())["config"]
         assert record["mu2_override"] == [1.0, 0.5, 0.25]
+        assert record["sampler"] == "reduced"
 
     def test_fmt_roundtrips_floats(self):
         for value in (0.1, 1 / 3, 12.5, 1e-17):

@@ -39,13 +39,28 @@ def test_traced_path_resolves(module, path):
     assert callable(getattr(raw, "__func__", raw))
 
 
-def test_traced_run_records_every_layer():
-    # every rule, a redrawn delocalized mean, a non-identity Sigma, overlay on
+def traced_layers(**sizes) -> set[str]:
+    """Layers recorded by a run with every rule, a redrawn delocalized mean,
+    a non-identity Sigma and the overlay on."""
     config = harness.ExperimentConfig(
-        p=6, n1=10, n2=10, covariance=CovarianceSpec.equal_corr(6, 0.3),
-        scenario=ScenarioSpec("delocalized", 2), reps=2, master_seed=3)
+        covariance=CovarianceSpec.equal_corr(6, 0.3),
+        scenario=ScenarioSpec("delocalized", 2), reps=2, master_seed=3,
+        **sizes)
     assert config.theory_overlay
     with tracing.Tracer() as tracer:
         harness.run_experiment(config)
-    recorded = {span[0] for span in tracer.spans}
+    return {span[0] for span in tracer.spans}
+
+
+def test_traced_run_records_every_layer():
+    # n1 != n2 takes the row sampler, which reaches every layer
+    recorded = traced_layers(p=6, n1=10, n2=11)
     assert recorded == {layer for layer, _, _ in tracing.LAYERS} - {"io.emit"}
+
+
+def test_traced_reduced_run_records_its_layers():
+    # the reduced sampler draws no rows and fits nothing
+    recorded = traced_layers(p=6, n1=10, n2=10)
+    assert recorded == {"harness.experiment", "harness.replication",
+                        "model.scenario_means", "covariance.mixing_matrix",
+                        "theory.overlay"}
