@@ -12,6 +12,7 @@ per-replication errors.
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpocon
 from scipy.stats import ks_2samp
 
 from dtclassify import classify, covariance, harness
@@ -232,3 +233,44 @@ class TestConditioningGuard:
         assert main(["simulate", "--config", str(ini),
                      "--out", str(tmp_path)]) == 2
         assert "replication 0" in capsys.readouterr().err
+
+    def test_whitened_guard_is_no_looser_than_the_formed_scatter(
+            self, monkeypatch):
+        # the norm bound only raises the estimate: a limit just under
+        # dpocon's estimate from the formed W = T T' still trips the guard
+        T = bartlett_factor(30, 31, np.random.default_rng(4))
+        W = T @ T.T
+        rcond, _ = dpocon(T, np.abs(W).sum(axis=0).max(), uplo="L")
+        monkeypatch.setattr(covariance, "CONDITION_LIMIT", 0.999 / rcond)
+        with pytest.raises(ConditioningError, match="whitened"):
+            classify.whitened_scatter_solver(
+                T, MixingMatrix.from_spec(CovarianceSpec.identity(30)))
+
+    def test_ill_conditioned_sigma_stops_only_the_row_path(self, tmp_path):
+        # variances 1e-3 .. 1e-14 off the mean shift: A = Gamma W Gamma is
+        # past the limit, the whitened scatter W is not. The reduced path
+        # never forms A, and the D-rule is affine invariant, so its counts
+        # are those of the whitened config: identity Sigma, mean
+        # difference Gamma^-1 delta.
+        sigmas = np.r_[1.0, 1.0, 1.0, np.logspace(-3, -14, 5)]
+        config = config_of(covariance=CovarianceSpec.diagonal(sigmas),
+                           classifiers=("d",), reps=3)
+        whitened = config_of(classifiers=("d",), reps=3,
+                             mu2_override=config.fixed_delta / np.sqrt(sigmas))
+        for r in range(config.reps):
+            with pytest.raises(ConditioningError,
+                               match="Sigma ill-conditioned"):
+                harness.row_replication(config, r)
+            assert harness.reduced_replication(config, r) == \
+                harness.reduced_replication(whitened, r)
+        # so simulate runs such a config when n1 = n2, and exits 2 when not
+        for n2, code in ((15, 0), (16, 2)):
+            ini = tmp_path / f"run{n2}.ini"
+            ini.write_text(
+                f"[experiment]\np = 8\nn1 = 15\nn2 = {n2}\nreps = 2\n"
+                "seed = 1\n\n[covariance]\nkind = diagonal\nsigmas = "
+                + ",".join(repr(float(v)) for v in sigmas)
+                + "\n\n[scenario]\nkind = localized\nn0 = 3\n\n"
+                "[classifiers]\nlist = d\n")
+            assert main(["simulate", "--config", str(ini),
+                         "--out", str(tmp_path / str(n2))]) == code

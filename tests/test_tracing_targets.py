@@ -39,16 +39,21 @@ def test_traced_path_resolves(module, path):
     assert callable(getattr(raw, "__func__", raw))
 
 
-def traced_layers(**sizes) -> set[str]:
-    """Layers recorded by a run with every rule, a redrawn delocalized mean,
-    a non-identity Sigma and the overlay on."""
+def traced_config(**sizes) -> harness.ExperimentConfig:
+    """Every rule, a redrawn delocalized mean, a non-identity Sigma and the
+    overlay on."""
     config = harness.ExperimentConfig(
         covariance=CovarianceSpec.equal_corr(6, 0.3),
         scenario=ScenarioSpec("delocalized", 2), reps=2, master_seed=3,
         **sizes)
     assert config.theory_overlay
+    return config
+
+
+def traced_layers(**sizes) -> set[str]:
+    """Layers recorded by a traced run of ``traced_config(**sizes)``."""
     with tracing.Tracer() as tracer:
-        harness.run_experiment(config)
+        harness.run_experiment(traced_config(**sizes))
     return {span[0] for span in tracer.spans}
 
 
@@ -64,3 +69,32 @@ def test_traced_reduced_run_records_its_layers():
     assert recorded == {"harness.experiment", "harness.replication",
                         "model.scenario_means", "covariance.mixing_matrix",
                         "theory.overlay"}
+
+
+# The reduced sampler's stages, which bench/tracing.LAYERS does not list yet
+REDUCED_STAGES = (
+    ("model.bartlett_factor", "dtclassify.model", "bartlett_factor"),
+    ("classify.whitened_scatter_solver", "dtclassify.classify",
+     "whitened_scatter_solver"),
+    ("classify.linear_forms", "dtclassify.classify", "linear_forms"),
+    ("harness.draw_test_statistics", "dtclassify.harness",
+     "draw_test_statistics"),
+)
+
+
+def test_reduced_stages_can_be_traced_inside_each_replication():
+    # a tracer given these layers splits the reduced replication into
+    # its stages, and changes no result
+    config = traced_config(p=6, n1=10, n2=10)
+    plain = harness.run_experiment(config)
+    with tracing.Tracer(tracing.LAYERS + REDUCED_STAGES) as tracer:
+        traced = harness.run_experiment(config)
+    for rule, result in plain.classifiers.items():
+        assert (result.per_rep_errors
+                == traced.classifiers[rule].per_rep_errors).all()
+    spans = tracer.spans
+    for name, _, _ in REDUCED_STAGES:
+        calls = tracer.counts[name + ".calls"]
+        assert calls == config.reps * (2 if name.endswith("statistics") else 1)
+        parents = {spans[s[3]][0] for s in spans if s[0] == name}
+        assert parents == {"harness.replication"}
