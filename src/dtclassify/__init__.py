@@ -28,6 +28,7 @@ from .harness import (
     classify_dataset,
     run_experiment,
     run_replication,
+    worker_pool,
 )
 from .model import (
     InnovationSpec,
@@ -63,7 +64,7 @@ __all__ = [
     "d_misclass", "t_variance", "t_misclass", "exact_trace_moments", "mp_limits",
     "mp_empirical", "normal_cdf",
     "ExperimentConfig", "ExperimentResult", "run_replication",
-    "run_experiment", "classify_dataset",
+    "run_experiment", "worker_pool", "classify_dataset",
     "ReproReport", "reproduce",
     "LabeledDataset", "ingest_csv",
     "__version__",

@@ -186,12 +186,16 @@ def mahalanobis(delta, spec: CovarianceSpec) -> float:
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (spec.p,):
         raise DomainError(f"delta must have length {spec.p}, got {delta.shape}")
+    if spec.kind == "identity":
+        return float(delta @ delta)
     inv = inverse_covariance(spec)
     return float(delta @ inv @ delta)
 
 
 def trace_sigma_squared(spec: CovarianceSpec) -> float:
     """tr(Sigma^2) = squared Frobenius norm of Sigma."""
+    if spec.kind == "identity":
+        return float(spec.p)
     return float(np.sum(build_covariance(spec) ** 2))
 
 

@@ -20,7 +20,9 @@ replication in the process and by the theory overlay.
 Every replication runs on one BLAS thread: its matrices are small
 (p <= 500), so OpenBLAS threads cost more than they save, and with
 ``workers > 1`` they would compete with the pool for the same cores.
-Parallelism comes from the workers alone.
+Parallelism comes from the workers alone. A series of experiments, such
+as a reproduction grid, can share one ``worker_pool``, so that its
+processes start once and not once per experiment.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from __future__ import annotations
 import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -81,8 +84,14 @@ OPENBLAS_SYMBOLS = (
 )
 
 
+@cache
 def _openblas_controls() -> dict[str, tuple]:
-    """{library file name: (get, set) thread functions} per loaded OpenBLAS."""
+    """{library file name: (get, set) thread functions} per loaded OpenBLAS.
+
+    Resolved once per process: numpy's and scipy's OpenBLAS are both loaded
+    once this module is imported (``classify`` imports ``scipy.linalg``),
+    and a forked child keeps the libraries at the same addresses.
+    """
     paths = set()
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -376,13 +385,33 @@ def _run_chunk(args) -> list[dict[str, tuple[int, int]]]:
     return [run_replication(config, r) for r in indices]
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1
+@contextmanager
+def worker_pool(workers: int):
+    """Processes for a series of ``run_experiment`` calls; None at one worker.
+
+    Pass the pool to each call with the same ``workers``. It holds at most
+    one process per CPU; they start at the first pooled experiment and are
+    joined when the ``with`` block ends.
+    """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    size = min(workers, os.cpu_count() or 1)
+    if size == 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=size,
+                             initializer=_pin_one_blas_thread) as pool:
+        yield pool
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None
                    ) -> ExperimentResult:
     """Run all replications and aggregate medians / standard errors.
 
-    The pool holds at most one process per replication and per CPU.
-    Runs with every loaded OpenBLAS on one thread and restores the
-    caller's thread counts on return or on error.
+    The replications are split over at most one process per replication
+    and per CPU, in ``pool`` (from ``worker_pool(workers)``) if given, else
+    in a pool of their own. Runs with every loaded OpenBLAS on one thread
+    and restores the caller's thread counts on return or on error.
     """
     if config.reps < 1:
         raise DomainError("reps must be >= 1")
@@ -390,25 +419,22 @@ def run_experiment(config: ExperimentConfig, workers: int = 1
         raise DomainError(f"workers must be >= 1, got {workers}")
     previous = _pin_one_blas_thread()
     try:
-        return _run_pinned(config, workers)
+        return _run_pinned(config, workers, pool)
     finally:
         for put, count in previous:
             put(count)
 
 
-def _run_pinned(config: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_pinned(config: ExperimentConfig, workers: int, pool
+                ) -> ExperimentResult:
     size = min(workers, config.reps, os.cpu_count() or 1)
     if size == 1:
         counts = _run_chunk((config, range(config.reps)))
+    elif pool is None:
+        with worker_pool(size) as own:
+            counts = _pooled_counts(config, size, own)
     else:
-        # contiguous chunks, so map returns the counts in replication order
-        chunks = [(config, range(config.reps * i // size,
-                                 config.reps * (i + 1) // size))
-                  for i in range(size)]
-        with ProcessPoolExecutor(max_workers=size,
-                                 initializer=_pin_one_blas_thread) as pool:
-            counts = [row for part in pool.map(_run_chunk, chunks)
-                      for row in part]
+        counts = _pooled_counts(config, size, pool)
 
     m1, m2 = config.test1, config.test2
     preds = theory_predictions(config) if config.theory_overlay else {}
@@ -430,6 +456,15 @@ def _run_pinned(config: ExperimentConfig, workers: int) -> ExperimentResult:
             se_defined=se_defined,
         )
     return ExperimentResult(config, results)
+
+
+def _pooled_counts(config: ExperimentConfig, size: int, pool
+                   ) -> list[dict[str, tuple[int, int]]]:
+    # contiguous chunks, so map returns the counts in replication order
+    chunks = [(config, range(config.reps * i // size,
+                             config.reps * (i + 1) // size))
+              for i in range(size)]
+    return [row for part in pool.map(_run_chunk, chunks) for row in part]
 
 
 def trace_inputs(config: ExperimentConfig) -> TheoryInputsT:

@@ -9,12 +9,18 @@ SCRDA, FAIR, NSC) are quoted as-is and never recomputed here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .covariance import CovarianceSpec
 from .errors import DomainError
-from .harness import ExperimentConfig, run_experiment, trace_inputs
+from .harness import (
+    ExperimentConfig,
+    run_experiment,
+    trace_inputs,
+    worker_pool,
+)
 from .model import InnovationSpec, ScenarioSpec
 from .theory import TheoryInputsD, normal_cdf, t_misclass, theta1, theta2
 
@@ -162,24 +168,31 @@ def _scaled_reps(base: int, scale: float) -> int:
 
 def reproduce(target: str, scale: float = 1.0, table_reps: int | None = None,
               workers: int = 1, master_seed: int = 20240901) -> ReproReport:
-    """Run one reproduction target at the given replication scale."""
+    """Run one reproduction target at the given replication scale.
+
+    The target's grid points share one pool of ``workers`` processes.
+    """
     if target not in TARGETS:
         raise DomainError(f"unknown target {target!r}; choose from {TARGETS}")
     if target in ("table1", "table2", "table3", "table4"):
         reps = _scaled_reps(TABLE_DEFAULT_REPS if table_reps is None
                             else table_reps, scale)
+    else:
+        reps = _scaled_reps(FIGURE_DEFAULT_REPS, scale)
+    with worker_pool(workers) as pool:
+        run = partial(run_experiment, workers=workers, pool=pool)
         if target == "table4":
-            return _table4(reps, workers, master_seed)
-        return _corr_table(target, reps, workers, master_seed)
-    reps = _scaled_reps(FIGURE_DEFAULT_REPS, scale)
-    if target == "fig1":
-        return _fig1(reps, workers, master_seed)
-    if target == "fig2":
-        return _fig2(reps, workers, master_seed)
-    return _fig5(reps, workers, master_seed)
+            return _table4(reps, run, master_seed)
+        if target in ("table1", "table2", "table3"):
+            return _corr_table(target, reps, run, master_seed)
+        if target == "fig1":
+            return _fig1(reps, run, master_seed)
+        if target == "fig2":
+            return _fig2(reps, run, master_seed)
+        return _fig5(reps, run, master_seed)
 
 
-def _corr_table(target: str, reps: int, workers: int, master_seed: int
+def _corr_table(target: str, reps: int, run, master_seed: int
                 ) -> ReproReport:
     """Equal-correlation (tables 1-2) and AR(1) (table 3) grids."""
     if target == "table1":
@@ -204,7 +217,7 @@ def _corr_table(target: str, reps: int, workers: int, master_seed: int
             innovation1=innov, innovation2=innov,
             classifiers=classifiers, reps=reps, master_seed=master_seed,
         )
-        result = run_experiment(config, workers=workers)
+        result = run(config)
         row: dict = {"rho": rho}
         for clf in classifiers:
             r = result.classifiers[clf]
@@ -219,7 +232,7 @@ def _corr_table(target: str, reps: int, workers: int, master_seed: int
     return report
 
 
-def _table4(reps: int, workers: int, master_seed: int) -> ReproReport:
+def _table4(reps: int, run, master_seed: int) -> ReproReport:
     report = ReproReport("table4", reps)
     for n in range(100, 501, 50):
         config = ExperimentConfig(
@@ -227,7 +240,7 @@ def _table4(reps: int, workers: int, master_seed: int) -> ReproReport:
             scenario=ScenarioSpec("delocalized", n0=10),
             classifiers=("t",), reps=reps, master_seed=master_seed,
         )
-        result = run_experiment(config, workers=workers)
+        result = run(config)
         r = result.classifiers["t"]
         med, se = REFERENCE_TABLE4[n]
         report.rows.append({
@@ -252,7 +265,7 @@ def _fig1_config(p: int, n1: int, n2: int, reps: int, master_seed: int
     )
 
 
-def _fig1(reps: int, workers: int, master_seed: int) -> ReproReport:
+def _fig1(reps: int, run, master_seed: int) -> ReproReport:
     report = ReproReport("fig1", reps)
     n1 = n2 = 250  # total training size 500, so y spans 0.1 .. 0.9
     for p in range(50, 451, 50):
@@ -260,7 +273,7 @@ def _fig1(reps: int, workers: int, master_seed: int) -> ReproReport:
         n = n1 + n2 - 2
         y = p / n
         inputs = TheoryInputsD(y, n1 / n, (4.0 / 3.0) * y)
-        result = run_experiment(config, workers=workers)
+        result = run(config)
         report.rows.append({
             "p": p, "x": y,
             "phi_theta1": normal_cdf(theta1(inputs)),
@@ -270,7 +283,7 @@ def _fig1(reps: int, workers: int, master_seed: int) -> ReproReport:
     return report
 
 
-def _fig2(reps: int, workers: int, master_seed: int) -> ReproReport:
+def _fig2(reps: int, run, master_seed: int) -> ReproReport:
     report = ReproReport("fig2", reps)
     for panel, (n1, n2) in (("lambda_half", (250, 250)),
                             ("lambda_quarter", (125, 375))):
@@ -278,7 +291,7 @@ def _fig2(reps: int, workers: int, master_seed: int) -> ReproReport:
             config = _fig1_config(p, n1, n2, reps, master_seed)
             n = n1 + n2 - 2
             inputs = TheoryInputsD(p / n, n1 / n, (4.0 / 3.0) * p / n)
-            result = run_experiment(config, workers=workers)
+            result = run(config)
             report.rows.append({
                 "panel": panel, "p": p, "x": p / n,
                 "phi_theta1": normal_cdf(theta1(inputs)),
@@ -287,7 +300,7 @@ def _fig2(reps: int, workers: int, master_seed: int) -> ReproReport:
     return report
 
 
-def _fig5(reps: int, workers: int, master_seed: int) -> ReproReport:
+def _fig5(reps: int, run, master_seed: int) -> ReproReport:
     report = ReproReport("fig5", reps)
     for panel, innov in (("normal", InnovationSpec("normal")),
                          ("gamma", InnovationSpec("gamma_shifted"))):
@@ -301,7 +314,7 @@ def _fig5(reps: int, workers: int, master_seed: int) -> ReproReport:
                 classifiers=("t",), reps=reps, master_seed=master_seed,
                 theory_overlay=False,
             )
-            result = run_experiment(config, workers=workers)
+            result = run(config)
             row = {
                 "panel": panel, "n1": n1, "n2": n2,
                 # group-1 error matches the one-sided theoretical quantity

@@ -123,6 +123,11 @@ class TestMahalanobis:
         delta = np.array([3.0, 4.0])
         assert mahalanobis(delta, CovarianceSpec.identity(2)) == pytest.approx(25.0)
 
+    def test_identity_matches_the_dense_form_exactly(self):
+        delta = np.random.default_rng(5).standard_normal(50)
+        assert mahalanobis(delta, CovarianceSpec.identity(50)) == \
+            float(delta @ np.eye(50) @ delta)
+
     def test_equal_corr_hand_value(self):
         # Sigma = [[1, .5], [.5, 1]], delta = (1, 0):
         # delta' Sigma^{-1} delta = 4/3

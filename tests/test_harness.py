@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dtclassify.harness import (
     trace_inputs,
 )
 from dtclassify.model import InnovationSpec, ScenarioSpec
+from dtclassify.reproduce import reproduce
 
 
 def small_config(**overrides):
@@ -67,6 +69,28 @@ class TestConfigValidation:
         assert config.test1 == 20 and config.test2 == 30
         config = small_config(m1=7, m2=9)
         assert config.test1 == 7 and config.test2 == 9
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A stand-in executor that records its sizes and maps in-process."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return SimpleNamespace(sizes=sizes, install=lambda: monkeypatch.setattr(
+        harness, "ProcessPoolExecutor", FakePool))
 
 
 class TestReplications:
@@ -141,32 +165,50 @@ class TestReplications:
             run_experiment(small_config(reps=2), workers=0)
 
     @pytest.mark.parametrize("cpus, size", [(3, 3), (64, 5), (None, None)])
-    def test_pool_capped_at_reps_and_cpus(self, monkeypatch, cpus, size):
-        # a fake pool records its size and maps in-process
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers, initializer=None):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+    def test_pool_capped_at_reps_and_cpus(self, fake_pool, monkeypatch,
+                                          cpus, size):
         config = small_config(reps=5)
         serial = run_experiment(config)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        fake_pool.install()
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         pooled = run_experiment(config, workers=10**6)
-        assert sizes == ([] if size is None else [size])
+        assert fake_pool.sizes == ([] if size is None else [size])
         for clf in config.classifiers:
             assert np.array_equal(serial.classifiers[clf].per_rep_errors,
                                   pooled.classifiers[clf].per_rep_errors)
+
+    def test_series_shares_one_pool(self, fake_pool, monkeypatch):
+        configs = [small_config(reps=5, master_seed=s) for s in (1, 2, 3)]
+        serial = [run_experiment(c) for c in configs]
+        fake_pool.install()
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        with harness.worker_pool(3) as pool:
+            pooled = [run_experiment(c, workers=3, pool=pool)
+                      for c in configs]
+        assert fake_pool.sizes == [3]
+        for a, b in zip(serial, pooled):
+            for clf in a.classifiers:
+                assert np.array_equal(a.classifiers[clf].per_rep_errors,
+                                      b.classifiers[clf].per_rep_errors)
+
+    def test_reproduce_target_starts_one_pool(self, fake_pool, monkeypatch):
+        serial = reproduce("table4", table_reps=50)
+        fake_pool.install()
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        pooled = reproduce("table4", table_reps=50, workers=2)
+        assert fake_pool.sizes == [2]
+        assert pooled.rows == serial.rows
+
+    def test_single_worker_pool_is_none(self, fake_pool):
+        fake_pool.install()
+        with harness.worker_pool(1) as pool:
+            assert pool is None
+        assert fake_pool.sizes == []
+
+    def test_pool_below_one_worker_rejected(self):
+        with pytest.raises(DomainError, match="workers"):
+            with harness.worker_pool(0):
+                pass
 
     def test_pooled_variances_helper(self):
         rng = np.random.default_rng(30)
@@ -282,6 +324,9 @@ class TestBlasThreads:
         config = small_config(reps=6)
         result = run_experiment(config, workers=workers)
         assert len(result.classifiers["d"].per_rep_errors) == 6
+
+    def test_libraries_resolved_once_per_process(self):
+        assert harness._openblas_controls() is harness._openblas_controls()
 
     def test_pool_initializer_pins_spawned_workers(self):
         # a spawned worker imports numpy afresh, at OpenBLAS's default

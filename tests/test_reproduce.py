@@ -107,7 +107,7 @@ class TestReports:
         # the phi columns depend on the config only; skip the replications
         configs = []
 
-        def record(config, workers=1):
+        def record(config, workers=1, pool=None):
             configs.append(config)
             stub = SimpleNamespace(mean_error_pi1_pct=0.0)
             return SimpleNamespace(classifiers={"t": stub})
