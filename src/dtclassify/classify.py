@@ -30,10 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, solve_triangular
-from scipy.linalg.lapack import dpocon
 
-from . import covariance
+from . import covariance, lapack
 from .errors import (
     ConditioningError,
     DegenerateFeatureError,
@@ -49,8 +47,8 @@ class TrainedStats:
     mean_y: np.ndarray
     n1: int
     n2: int
-    pooled_scatter: np.ndarray | None = None
-    _chol: tuple | None = field(default=None, repr=False)
+    # lower Cholesky factor of the pooled scatter, from ``lapack.cholesky``
+    _chol: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def alpha1(self) -> float:
@@ -83,23 +81,30 @@ def fit(X, Y, need_scatter: bool = True) -> TrainedStats:
                 f"the D-criterion needs p < n1+n2-2 so the pooled scatter is "
                 f"invertible; got p = {p}, n1+n2-2 = {n1 + n2 - 2}"
             )
-        # one product C'C, which numpy computes with syrk: exactly symmetric
-        C = np.vstack([X - stats.mean_x, Y - stats.mean_y])
-        A = C.T @ C
-        stats.pooled_scatter = A
-        stats._chol = _factor_scatter(A)
+        stats._chol = _factor_scatter(pooled_scatter(X, Y))
     return stats
 
 
-def _factor_scatter(A: np.ndarray):
+def pooled_scatter(X, Y) -> np.ndarray:
+    """The pooled within-group scatter A = C'C, C the centred rows of X and Y.
+
+    numpy computes the one product C'C with syrk, so A is exactly
+    symmetric, and its lower and upper triangles are the same numbers.
+    """
+    C = np.vstack([X - X.mean(axis=0), Y - Y.mean(axis=0)])
+    return C.T @ C
+
+
+def _factor_scatter(A: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of A, once A passes the condition guard."""
     try:
-        factor = cho_factor(A, lower=True)
+        L = lapack.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"pooled scatter is singular: {exc}") from exc
-    _check_condition(factor[0], np.abs(A).sum(axis=0).max(),
+    _check_condition(L, np.abs(A).sum(axis=0).max(),
                      "pooled scatter", "p/n too close to 1 or Sigma "
                      "ill-conditioned")
-    return factor
+    return L
 
 
 def _check_condition(L, anorm: float, name: str, cause: str) -> None:
@@ -109,9 +114,7 @@ def _check_condition(L, anorm: float, name: str, cause: str) -> None:
     times ``anorm``, ||A||_1 or a bound on it, that is the 1-norm condition
     estimate checked against ``covariance.CONDITION_LIMIT``.
     """
-    rcond, info = dpocon(L, anorm, uplo="L")
-    if info != 0:
-        raise ConditioningError(f"dpocon failed with info = {info}")
+    rcond = lapack.reciprocal_condition(L, anorm)
     if rcond * covariance.CONDITION_LIMIT < 1.0:
         cond_est = 1.0 / rcond if rcond > 0 else np.inf
         raise ConditioningError(
@@ -136,8 +139,8 @@ def whitened_scatter_solver(T, gamma):
                      "whitened pooled scatter", "p/n too close to 1")
 
     def solve(v):
-        y = solve_triangular(T, gamma.unmix(v), lower=True)
-        return gamma.unmix(solve_triangular(T, y, lower=True, trans="T"))
+        y = lapack.solve_triangular(T, gamma.unmix(v))
+        return gamma.unmix(lapack.solve_triangular(T, y, trans=True))
 
     return solve
 
@@ -154,9 +157,9 @@ def d_statistics(stats: TrainedStats, Z) -> np.ndarray:
         raise SingularityError("stats carry no pooled scatter; fit with "
                                "need_scatter=True")
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    L = stats._chol[0]
-    W = solve_triangular(L, (Z - stats.mean_x).T, lower=True)
-    v = solve_triangular(L, stats.mean_x - stats.mean_y, lower=True)
+    L = stats._chol
+    W = lapack.solve_triangular(L, (Z - stats.mean_x).T)
+    v = lapack.solve_triangular(L, stats.mean_x - stats.mean_y)
     qx = np.einsum("ij,ij->j", W, W)
     W += v[:, None]  # now L^-1 (Z - ybar)'
     qy = np.einsum("ij,ij->j", W, W)

@@ -6,11 +6,9 @@ Supported kinds:
 * ``equal_corr`` -- unit diagonal, constant off-diagonal correlation rho
 * ``ar1``        -- Sigma[l, l'] = rho ** |l - l'|
 * ``diagonal``   -- diag(sigmas), all entries positive
-* ``explicit``   -- arbitrary symmetric positive definite matrix
 
-The equal-correlation and AR(1) inverses use their closed forms
-(Sherman-Morrison and the tridiagonal form respectively); everything else
-is factorized numerically with a conditioning guard.
+Every kind has a closed-form inverse: the equal-correlation one by
+Sherman-Morrison, the AR(1) one tridiagonal.
 """
 
 from __future__ import annotations
@@ -19,18 +17,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (
-    CalibrationError,
-    ConditioningError,
-    DomainError,
-    StructureError,
-)
+from .errors import CalibrationError, DomainError, StructureError
 
+# the largest condition estimate a matrix the rules invert may have
 CONDITION_LIMIT = 1e12
 
-KINDS = ("identity", "equal_corr", "ar1", "diagonal", "explicit")
+KINDS = ("identity", "equal_corr", "ar1", "diagonal")
 
 
 def _arrays_equal(a, b) -> bool:
@@ -47,7 +40,6 @@ class CovarianceSpec:
     p: int
     rho: float | None = None
     sigmas: np.ndarray | None = None
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -70,19 +62,6 @@ class CovarianceSpec:
                     "diagonal requires a length-p vector of positive entries"
                 )
             object.__setattr__(self, "sigmas", sig)
-        elif self.kind == "explicit":
-            mat = np.asarray(self.matrix, dtype=float)
-            if mat.shape != (self.p, self.p):
-                raise StructureError(f"explicit matrix must be {self.p}x{self.p}")
-            if not np.allclose(mat, mat.T, rtol=1e-10, atol=1e-12):
-                raise StructureError("explicit covariance must be symmetric")
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError:
-                raise StructureError(
-                    "explicit covariance is not positive definite"
-                ) from None
-            object.__setattr__(self, "matrix", mat)
 
     # array fields need value comparison, so the generated __eq__ won't do
     def __eq__(self, other):
@@ -90,8 +69,7 @@ class CovarianceSpec:
             return NotImplemented
         return (self.kind == other.kind and self.p == other.p
                 and self.rho == other.rho
-                and _arrays_equal(self.sigmas, other.sigmas)
-                and _arrays_equal(self.matrix, other.matrix))
+                and _arrays_equal(self.sigmas, other.sigmas))
 
     def __hash__(self):
         return hash((self.kind, self.p, self.rho))
@@ -115,11 +93,6 @@ class CovarianceSpec:
         sig = np.asarray(sigmas, dtype=float)
         return cls("diagonal", sig.shape[0], sigmas=sig)
 
-    @classmethod
-    def explicit(cls, matrix) -> "CovarianceSpec":
-        mat = np.asarray(matrix, dtype=float)
-        return cls("explicit", mat.shape[0], matrix=mat)
-
 
 def build_covariance(spec: CovarianceSpec) -> np.ndarray:
     """Materialize Sigma. The result is exactly symmetric by construction."""
@@ -133,9 +106,7 @@ def build_covariance(spec: CovarianceSpec) -> np.ndarray:
     if spec.kind == "ar1":
         idx = np.arange(p)
         return spec.rho ** np.abs(idx[:, None] - idx[None, :])
-    if spec.kind == "diagonal":
-        return np.diag(spec.sigmas)
-    return spec.matrix.copy()
+    return np.diag(spec.sigmas)
 
 
 def inverse_covariance(spec: CovarianceSpec) -> np.ndarray:
@@ -163,22 +134,7 @@ def inverse_covariance(spec: CovarianceSpec) -> np.ndarray:
         inv[np.arange(p - 1), np.arange(1, p)] = off
         inv[np.arange(1, p), np.arange(p - 1)] = off
         return inv
-    if spec.kind == "diagonal":
-        return np.diag(1.0 / spec.sigmas)
-    return _guarded_inverse(spec.matrix)
-
-
-def _guarded_inverse(sigma: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(sigma)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise ConditioningError(
-            f"covariance condition number {cond:.3g} exceeds {CONDITION_LIMIT:g}"
-        )
-    try:
-        factor = cho_factor(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"covariance factorization failed: {exc}") from exc
-    return cho_solve(factor, np.eye(sigma.shape[0]))
+    return np.diag(1.0 / spec.sigmas)
 
 
 def mahalanobis(delta, spec: CovarianceSpec) -> float:
@@ -197,6 +153,14 @@ def trace_sigma_squared(spec: CovarianceSpec) -> float:
     if spec.kind == "identity":
         return float(spec.p)
     return float(np.sum(build_covariance(spec) ** 2))
+
+
+def trace_and_sum(spec: CovarianceSpec) -> tuple[float, float]:
+    """(tr Sigma, 1' Sigma 1); p and p for the identity, without forming it."""
+    if spec.kind == "identity":
+        return float(spec.p), float(spec.p)
+    sigma = build_covariance(spec)
+    return float(np.trace(sigma)), float(np.sum(sigma))
 
 
 def beta_squared(spec: CovarianceSpec) -> float:
@@ -233,22 +197,23 @@ class MixingMatrix:
 
     The symmetric root (not a Cholesky factor) is required: the third-moment
     term 1' Gamma^3 delta in the trace-criterion variance is tied to this
-    specific choice.
+    specific choice. For the identity no root is stored: ``mix`` and
+    ``unmix`` return their argument, and ``gamma`` forms I_p only if read.
     """
 
-    gamma: np.ndarray = field(repr=False)
     source: CovarianceSpec
+    root: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_spec(cls, spec: CovarianceSpec) -> "MixingMatrix":
         if spec.kind == "identity":
-            return cls(np.eye(spec.p), spec)
+            return cls(spec)
         if spec.kind == "diagonal":
-            return cls(np.diag(np.sqrt(spec.sigmas)), spec)
+            return cls(spec, np.diag(np.sqrt(spec.sigmas)))
         if spec.kind == "equal_corr":
             # Sigma = (1-rho) I + rho J has eigenvalues 1-rho and 1+(p-1)rho,
             # so any power is a I + b J/p in the same eigenbasis.
-            return cls(_equal_corr_power(spec, 0.5), spec)
+            return cls(spec, _equal_corr_power(spec, 0.5))
         sigma = build_covariance(spec)
         vals, vecs = np.linalg.eigh(sigma)
         if np.min(vals) <= 0:
@@ -257,11 +222,16 @@ class MixingMatrix:
                 f"{np.min(vals):.3g})"
             )
         root = (vecs * np.sqrt(vals)) @ vecs.T
-        return cls((root + root.T) / 2.0, spec)
+        return cls(spec, (root + root.T) / 2.0)
 
     @property
     def is_identity(self) -> bool:
         return self.source.kind == "identity"
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Gamma as a dense p x p matrix."""
+        return np.eye(self.source.p) if self.root is None else self.root
 
     def mix(self, M) -> np.ndarray:
         """Gamma @ M; M itself for the identity."""
@@ -284,6 +254,12 @@ class MixingMatrix:
         if self.source.kind == "equal_corr":
             return _equal_corr_power(self.source, 1.5)
         return self.gamma @ self.gamma @ self.gamma
+
+    def cube_sum(self) -> float:
+        """1' Gamma^3 1; p for the identity, without forming Gamma^3."""
+        if self.is_identity:
+            return float(self.source.p)
+        return float(np.sum(self.cube()))
 
 
 def _equal_corr_power(spec: CovarianceSpec, exponent: float) -> np.ndarray:

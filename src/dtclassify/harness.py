@@ -27,22 +27,21 @@ processes start once and not once per experiment.
 
 from __future__ import annotations
 
-import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from . import classify
+from . import classify, lapack
 from .covariance import (
     CovarianceSpec,
     MixingMatrix,
-    build_covariance,
     inverse_covariance,
     mahalanobis,
+    trace_and_sum,
     trace_sigma_squared,
 )
 from .errors import DomainError, NumericalError, SingularityError
@@ -73,63 +72,18 @@ DATASET_CLASSIFIER_IDS = tuple(c for c in CLASSIFIER_IDS if c != "oracle")
 # stream below draws a fixed delocalized mu2 when redraw_mu2 is off.
 FIXED_MU_STREAM = 2**32 - 1
 
-# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy
-# load: scipy-openblas with 64-bit and with 32-bit integers, then plain
-# OpenBLAS likewise.
-OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
+def _pin_one_blas_thread() -> int:
+    """Set numpy's OpenBLAS to one thread; return the thread count it had.
 
-
-@cache
-def _openblas_controls() -> dict[str, tuple]:
-    """{library file name: (get, set) thread functions} per loaded OpenBLAS.
-
-    Resolved once per process: numpy's and scipy's OpenBLAS are both loaded
-    once this module is imported (``classify`` imports ``scipy.linalg``),
-    and a forked child keeps the libraries at the same addresses.
+    Only set when not at one already: in a forked child, which starts
+    without OpenBLAS's worker threads, setting any count starts them again,
+    and they slow every replication there. Also the pool initializer, so
+    workers stay pinned under any start method.
     """
-    paths = set()
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            for line in fh:
-                path = line.split()[-1]
-                if "openblas" in os.path.basename(path).lower():
-                    paths.add(path)
-    except FileNotFoundError:  # no procfs: leave BLAS as it is
-        return {}
-    controls = {}
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for get_name, set_name in OPENBLAS_SYMBOLS:
-            get = getattr(lib, get_name, None)
-            put = getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls[os.path.basename(path)] = (get, put)
-                break
-    return controls
-
-
-def _pin_one_blas_thread() -> list[tuple]:
-    """Set every loaded OpenBLAS to one thread; return (set, old count) pairs.
-
-    Only libraries not at one thread already are set: in a forked child,
-    which starts without OpenBLAS's worker threads, setting any count
-    starts them again, and they slow every replication there. Also the
-    pool initializer, so workers stay pinned under any start method.
-    """
-    previous = []
-    for get, put in _openblas_controls().values():
-        count = get()
-        if count != 1:
-            put(1)
-            previous.append((put, count))
-    return previous
+    count = lapack.blas_threads()
+    if count != 1:
+        lapack.set_blas_threads(1)
+    return count
 
 
 @dataclass(frozen=True)
@@ -410,8 +364,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None
 
     The replications are split over at most one process per replication
     and per CPU, in ``pool`` (from ``worker_pool(workers)``) if given, else
-    in a pool of their own. Runs with every loaded OpenBLAS on one thread
-    and restores the caller's thread counts on return or on error.
+    in a pool of their own. Runs with OpenBLAS on one thread and restores
+    the caller's thread count on return or on error.
     """
     if config.reps < 1:
         raise DomainError("reps must be >= 1")
@@ -421,8 +375,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None
     try:
         return _run_pinned(config, workers, pool)
     finally:
-        for put, count in previous:
-            put(count)
+        if previous != 1:
+            lapack.set_blas_threads(previous)
 
 
 def _run_pinned(config: ExperimentConfig, workers: int, pool
@@ -481,13 +435,12 @@ def trace_inputs(config: ExperimentConfig) -> TheoryInputsT:
                                         innov1, innov2, gamma=config.gamma)
     # entries i.i.d. Uniform(e/2, 3e/2), mean e, variance e^2/12
     e = config.mean_scale
-    sig = build_covariance(sigma)
-    g3 = config.gamma.cube()
+    trace, total = trace_and_sum(sigma)
     e2 = e * e
     return TheoryInputsT(
         sigma, config.n1, config.n2, trace_sigma_squared(sigma),
-        float(e2 * (np.trace(sig) / 12.0 + np.sum(sig))),
-        e * float(np.sum(g3)), float(config.p * e2 * 13.0 / 12.0),
+        float(e2 * (trace / 12.0 + total)),
+        e * config.gamma.cube_sum(), float(config.p * e2 * 13.0 / 12.0),
         theta_x=innov1.theta, theta_y=innov2.theta,
         gamma_x=innov1.gamma4, gamma_y=innov2.gamma4)
 

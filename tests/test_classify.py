@@ -10,6 +10,7 @@ from dtclassify.classify import (
     fit,
     naive_bayes_statistics,
     oracle_statistics,
+    pooled_scatter,
     t_statistics,
 )
 from dtclassify.covariance import CovarianceSpec, inverse_covariance
@@ -37,7 +38,9 @@ class TestFit:
         assert np.allclose(stats.mean_y, [5.0, 5.0])
         Xc = X - stats.mean_x
         Yc = Y - stats.mean_y
-        assert np.allclose(stats.pooled_scatter, Xc.T @ Xc + Yc.T @ Yc)
+        assert np.allclose(pooled_scatter(X, Y), Xc.T @ Xc + Yc.T @ Yc)
+        L = np.tril(stats._chol)
+        assert np.allclose(L @ L.T, Xc.T @ Xc + Yc.T @ Yc)
         assert stats.alpha1 == pytest.approx(4.0 / 5.0)
         assert stats.alpha2 == pytest.approx(3.0 / 4.0)
 
@@ -56,27 +59,31 @@ class TestFit:
             fit(X, Y)
         # without the scatter the same data are fine
         stats = fit(X, Y, need_scatter=False)
-        assert stats.pooled_scatter is None
+        assert stats._chol is None
 
     def test_ill_conditioned_scatter_rejected(self):
         # cond(L L') is about 1e16 while diag(L) = (1, 1) looks perfect
         L = np.array([[1.0, 0.0], [1e4, 1.0]])
         with pytest.raises(ConditioningError):
             _factor_scatter(L @ L.T)
-        # a well-conditioned scatter keeps its factor
-        factor, lower = _factor_scatter(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert lower and np.allclose(factor[1, 1], np.sqrt(1.5))
+        # a well-conditioned scatter keeps its lower factor
+        A = np.array([[2.0, 1.0], [1.0, 2.0]])
+        factor = _factor_scatter(A)
+        assert np.allclose(factor[1, 1], np.sqrt(1.5))
+        assert np.allclose(np.tril(factor) @ np.tril(factor).T, A)
 
     @pytest.mark.parametrize("p", [1, 5, 125, 450])
     def test_scatter_is_the_pooled_sum_and_exactly_symmetric(self, p):
         rng = np.random.default_rng(30 + p)
         X, Y = make_groups(rng, 250, 250, p)
-        A = fit(X, Y).pooled_scatter
+        A = pooled_scatter(X, Y)
         Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
         reference = Xc.T @ Xc + Yc.T @ Yc
         np.testing.assert_allclose(A, reference, rtol=1e-12,
                                    atol=1e-12 * np.abs(reference).max())
         assert np.array_equal(A, A.T)
+        # and fit factors exactly that matrix
+        assert np.array_equal(fit(X, Y)._chol, _factor_scatter(A))
 
     def test_pooled_variances(self):
         # the per-feature variances are diag(A) / (n1+n2-2)
@@ -87,7 +94,9 @@ class TestFit:
                   + np.sum((Y - Y.mean(0)) ** 2, axis=0)) / 38
         variances = pooled_variances_from_data(X, Y)
         assert np.allclose(variances, manual)
-        assert np.allclose(variances, np.diag(stats.pooled_scatter) / 38)
+        assert np.allclose(variances, np.diag(pooled_scatter(X, Y)) / 38)
+        L = np.tril(stats._chol)
+        assert np.allclose(variances, np.sum(L**2, axis=1) / 38)
 
 
 class TestDCriterion:
@@ -146,7 +155,7 @@ class TestDCriterion:
         rng = np.random.default_rng(40 + p)
         X, Y = make_groups(rng, 250, 250, p, shift=0.2)
         stats = fit(X, Y)
-        A = stats.pooled_scatter
+        A = pooled_scatter(X, Y)
 
         def dense(Z):
             Rx, Ry = Z - stats.mean_x, Z - stats.mean_y

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dtclassify import classify, harness
+from dtclassify import classify, covariance, harness, lapack
 from dtclassify.covariance import CovarianceSpec, MixingMatrix
 from dtclassify.data import LabeledDataset
 from dtclassify.errors import ConditioningError, DomainError, SingularityError
@@ -285,23 +285,14 @@ class TestConfigMembers:
         assert small_config().fixed_mu2 is None
 
 
-def blas_threads() -> dict[str, int]:
-    return {name: get() for name, (get, _) in
-            harness._openblas_controls().items()}
-
-
 class TestBlasThreads:
     @pytest.fixture
     def two_threads(self):
-        """Every loaded OpenBLAS at 2 threads for the test, then as before."""
-        controls = harness._openblas_controls()
-        assert controls, "no OpenBLAS found in this process"
-        before = {name: get() for name, (get, _) in controls.items()}
-        for _, put in controls.values():
-            put(2)
+        """OpenBLAS at 2 threads for the test, then as before."""
+        before = lapack.blas_threads()
+        lapack.set_blas_threads(2)
         yield
-        for name, (_, put) in controls.items():
-            put(before[name])
+        lapack.set_blas_threads(before)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_replications_run_on_one_thread(self, two_threads, monkeypatch,
@@ -311,8 +302,8 @@ class TestBlasThreads:
 
         def checked(*args):
             # runs in the pool children too: they are forked after the patch
-            threads = blas_threads()
-            if not threads or set(threads.values()) != {1}:
+            threads = lapack.blas_threads()
+            if threads != 1:
                 raise AssertionError(f"BLAS threads in replication: {threads}")
             # and a pool child has started no idle OpenBLAS worker threads
             tasks = len(os.listdir("/proc/self/task"))
@@ -325,21 +316,18 @@ class TestBlasThreads:
         result = run_experiment(config, workers=workers)
         assert len(result.classifiers["d"].per_rep_errors) == 6
 
-    def test_libraries_resolved_once_per_process(self):
-        assert harness._openblas_controls() is harness._openblas_controls()
-
     def test_pool_initializer_pins_spawned_workers(self):
         # a spawned worker imports numpy afresh, at OpenBLAS's default
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(1, mp_context=ctx,
                                  initializer=harness._pin_one_blas_thread
                                  ) as pool:
-            threads = pool.submit(blas_threads).result(timeout=120)
-        assert threads and set(threads.values()) == {1}
+            threads = pool.submit(lapack.blas_threads).result(timeout=120)
+        assert threads == 1
 
     def test_caller_threads_restored_after_return(self, two_threads):
         run_experiment(small_config(reps=3), workers=2)
-        assert set(blas_threads().values()) == {2}
+        assert lapack.blas_threads() == 2
 
     def test_caller_threads_restored_after_error(self, two_threads,
                                                  monkeypatch):
@@ -351,7 +339,7 @@ class TestBlasThreads:
         assert config.sampler == "rows"
         with pytest.raises(ConditioningError, match="replication 0"):
             run_experiment(config)
-        assert set(blas_threads().values()) == {2}
+        assert lapack.blas_threads() == 2
 
 
 class TestTheoryOverlay:
@@ -385,6 +373,25 @@ class TestTheoryOverlay:
         config = small_config(**overrides)
         assert theory_predictions(config)["t"] == \
             100.0 * t_misclass(trace_inputs(config), "v1")
+
+    def test_identity_trace_inputs_build_no_matrix(self, monkeypatch):
+        # tr Sigma, 1' Sigma 1 and 1' Gamma^3 1 are each p for the identity
+        config = small_config(classifiers=("t",))
+        e, p = config.mean_scale, config.p
+        sigma = g3 = np.eye(p)
+        dense = (float(np.sum(sigma ** 2)),
+                 float(e * e * (np.trace(sigma) / 12.0 + np.sum(sigma))),
+                 e * float(np.sum(g3)))
+
+        def refuse(*args):
+            raise AssertionError("built a p x p matrix")
+
+        monkeypatch.setattr(covariance, "build_covariance", refuse)
+        monkeypatch.setattr(MixingMatrix, "cube", refuse)
+        inputs = trace_inputs(config)
+        assert (inputs.tr_sigma2, inputs.delta_sigma_delta,
+                inputs.ones_gamma3_delta) == dense
+        assert "gamma" not in vars(config.gamma)
 
     def test_overlay_attached_to_results(self):
         result = run_experiment(small_config(reps=5))

@@ -11,7 +11,6 @@ per-replication errors.
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpocon
 from scipy.stats import ks_2samp
 
@@ -110,8 +109,9 @@ class TestLinearForms:
         stats = classify.fit(X, Y)
         mu1, mu2 = np.zeros(5), np.full(5, 0.7)
         sigma_inv = np.linalg.inv(build_covariance(CovarianceSpec.ar1(5, 0.4)))
+        A = classify.pooled_scatter(X, Y)
         forms = classify.linear_forms(
-            RULES, stats, lambda v: cho_solve(stats._chol, v),
+            RULES, stats, lambda v: np.linalg.solve(A, v),
             pooled_variances_from_data(X, Y), (mu1, mu2, sigma_inv))
         direct = {
             "d": classify.d_statistics(stats, Z),
