@@ -139,10 +139,28 @@ def whitened_scatter_solver(T, gamma):
                      "whitened pooled scatter", "p/n too close to 1")
 
     def solve(v):
-        y = lapack.solve_triangular(T, gamma.unmix(v))
-        return gamma.unmix(lapack.solve_triangular(T, y, trans=True))
+        return gamma.unmix(_factored_solve(T, gamma.unmix(v)))
 
     return solve
+
+
+def schur_complement_solve(T, r) -> np.ndarray:
+    """S^-1 r for S = T T', T the Bartlett factor of a k x k Schur
+    complement of the whitened pooled scatter (k <= 4).
+
+    Checks S's condition first, with dpocon on T and S's exact 1-norm: at
+    k <= 4, forming S costs less than bounding its norm.
+    """
+    _check_condition(T, np.abs(T @ T.T).sum(axis=0).max(),
+                     "Schur complement of the whitened pooled scatter",
+                     "p/n too close to 1")
+    return _factored_solve(T, r)
+
+
+def _factored_solve(T, v) -> np.ndarray:
+    """(T T')^-1 v, T lower triangular."""
+    return lapack.solve_triangular(T, lapack.solve_triangular(T, v),
+                                   trans=True)
 
 
 def d_statistics(stats: TrainedStats, Z) -> np.ndarray:

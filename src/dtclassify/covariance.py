@@ -137,14 +137,18 @@ def inverse_covariance(spec: CovarianceSpec) -> np.ndarray:
     return np.diag(1.0 / spec.sigmas)
 
 
-def mahalanobis(delta, spec: CovarianceSpec) -> float:
-    """Squared Mahalanobis distance delta' Sigma^{-1} delta."""
+def mahalanobis(delta, spec: CovarianceSpec, sigma_inv=None) -> float:
+    """Squared Mahalanobis distance delta' Sigma^{-1} delta.
+
+    ``sigma_inv`` is ``inverse_covariance(spec)`` when the caller has it
+    already; it is built here otherwise. The identity needs neither.
+    """
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (spec.p,):
         raise DomainError(f"delta must have length {spec.p}, got {delta.shape}")
     if spec.kind == "identity":
         return float(delta @ delta)
-    inv = inverse_covariance(spec)
+    inv = inverse_covariance(spec) if sigma_inv is None else sigma_inv
     return float(delta @ inv @ delta)
 
 
@@ -247,8 +251,6 @@ class MixingMatrix:
 
     def cube(self) -> np.ndarray:
         """Gamma^3 = Sigma^{3/2}."""
-        if self.source.kind == "identity":
-            return np.eye(self.source.p)
         if self.source.kind == "diagonal":
             return np.diag(self.source.sigmas**1.5)
         if self.source.kind == "equal_corr":

@@ -12,10 +12,10 @@ Replications are independent work units: each derives its own RNG stream
 from (master_seed, rep_index), so results are bit-identical regardless of
 how many workers execute them.
 
-What depends on the config alone -- Gamma, Sigma^-1 for the oracle, a
-fixed mean difference or mu2, and the delocalized scale e -- is a lazy
-member of ``ExperimentConfig``, built on first use and shared by every
-replication in the process and by the theory overlay.
+What depends on the config alone -- Gamma, Sigma^-1, a fixed mean
+difference or mu2, the localized Delta_L^2 and the delocalized scale e --
+is a lazy member of ``ExperimentConfig``, built on first use and shared by
+every replication in the process and by the theory overlay.
 
 Every replication runs on one BLAS thread: its matrices are small
 (p <= 500), so OpenBLAS threads cost more than they save, and with
@@ -51,7 +51,6 @@ from .model import (
     ScenarioSpec,
     bartlett_factor,
     delocalized_scale,
-    localized_distance,
     localized_mu2,
     make_scenario_means,
 )
@@ -158,7 +157,7 @@ class ExperimentConfig:
 
     @cached_property
     def sigma_inv(self) -> np.ndarray:
-        """Sigma^-1, read by the oracle."""
+        """Sigma^-1, read by the oracle and by ``squared_distance``."""
         return inverse_covariance(self.covariance)
 
     @cached_property
@@ -182,7 +181,20 @@ class ExperimentConfig:
     @cached_property
     def mean_scale(self) -> float:
         """The scale e of the delocalized uniform law of mu2."""
-        return delocalized_scale(self.scenario, self.covariance)
+        return delocalized_scale(self.scenario, self.covariance,
+                                 self.localized_delta2)
+
+    @cached_property
+    def localized_delta2(self) -> float:
+        """Delta_L^2 of the localized mean difference, to which the
+        delocalized law is calibrated."""
+        return self.squared_distance(localized_mu2(self.scenario.n0, self.p))
+
+    def squared_distance(self, delta) -> float:
+        """delta' Sigma^-1 delta, from ``sigma_inv`` unless Sigma = I."""
+        identity = self.covariance.kind == "identity"
+        return mahalanobis(delta, self.covariance,
+                           None if identity else self.sigma_inv)
 
 
 @dataclass
@@ -254,8 +266,11 @@ def reduced_replication(config: ExperimentConfig, rep_index: int
     For normal innovations and n1 = n2 only (``config.sampler``). The
     rules see the training samples only through xbar ~ N(mu1, Sigma/n1),
     ybar ~ N(mu2, Sigma/n2) and, for the D-rule and naive Bayes, the
-    pooled scatter A = Gamma T T' Gamma with T from Bartlett's
-    decomposition. Each rule's statistic is then c + w'z, and
+    pooled scatter A = Gamma W Gamma, W ~ W_p(I, n1 + n2 - 2). Naive Bayes
+    reads all of diag A, so with it W = T T' is drawn whole, T from
+    Bartlett's decomposition. Without it the D-rule reads A only through
+    A^-1 (xbar - ybar), which ``whitened_solve`` draws from an at most
+    4 x 4 Wishart. Each rule's statistic is then c + w'z, and
     ``draw_test_statistics`` draws the test rows' statistics directly.
     """
     rng = np.random.default_rng([config.master_seed, rep_index])
@@ -266,14 +281,28 @@ def reduced_replication(config: ExperimentConfig, rep_index: int
         mu2 + gamma.mix(rng.standard_normal(p)) / np.sqrt(config.n2),
         config.n1, config.n2)
     solve = pooled_variances = None
+    dof = config.n1 + config.n2 - 2
     try:
-        if "d" in rules or "nb" in rules:
-            dof = config.n1 + config.n2 - 2
+        if "nb" in rules:
             T = bartlett_factor(p, dof, rng)
-            if "nb" in rules:
-                pooled_variances = np.sum(gamma.mix(T) ** 2, axis=1) / dof
+            pooled_variances = np.sum(gamma.mix(T) ** 2, axis=1) / dof
             if "d" in rules:
                 solve = classify.whitened_scatter_solver(T, gamma)
+        elif "d" in rules:
+            # u = A^-1 v is read through m'u and mu2'u (mu1 = 0), and
+            # through Gamma u in the QR of the rules' Gamma w: its norm and
+            # its products with Gamma (xbar - ybar) for T and with the
+            # oracle's Gamma Sigma^-1 (mu1 - mu2) = -Gamma^-1 mu2
+            mid = (stats.mean_x + stats.mean_y) / 2.0
+            reads = gamma.unmix(np.column_stack([mid, mu2]))
+            if "t" in rules:
+                reads = np.column_stack(
+                    [reads, gamma.mix(stats.mean_x - stats.mean_y)])
+
+            def solve(v):
+                return gamma.unmix(
+                    whitened_solve(gamma.unmix(v), reads, dof, rng))
+
         truth = (mu1, mu2, config.sigma_inv) if "oracle" in rules else None
         forms = classify.linear_forms(rules, stats, solve, pooled_variances,
                                       truth)
@@ -284,6 +313,33 @@ def reduced_replication(config: ExperimentConfig, rep_index: int
     s2 = draw_test_statistics(forms, gamma, mu2, config.test2, rng)
     mis1, mis2 = np.sum(s1 > 0, axis=0), np.sum(s2 <= 0, axis=0)
     return {clf: (int(mis1[i]), int(mis2[i])) for i, clf in enumerate(forms)}
+
+
+def whitened_solve(e, reads, dof: int, rng) -> np.ndarray:
+    """v = W^-1 e for a fresh W ~ W_p(I, dof), exactly in law, without
+    drawing W.
+
+    Q, an orthonormal basis of the span of e and the columns of ``reads``
+    (at most 3), comes from their QR, e = Q r; it has k = min(p, 1 +
+    reads' columns) columns. Rotated to that basis, the Wishart partition
+    theorem (Anderson, *An Introduction to Multivariate Statistical
+    Analysis*, sec. 7.3) gives Q'v = S^-1 r with S ~ W_k(I, dof - p + k)
+    the Schur complement of the other p - k coordinates, and, independent
+    of S, the rest of v as ||S^-1 r|| g / sqrt(chi^2(dof - p + k + 1))
+    with g ~ N(0, I - Q Q'). So W's p x p factor is never drawn. The
+    caller reads v through reads' v and ||v||: the products come from the
+    solve with S alone, which is the matrix the condition guard checks.
+    """
+    Q, R = np.linalg.qr(np.column_stack([e, reads]))
+    p, k = Q.shape
+    a = classify.schur_complement_solve(bartlett_factor(k, dof - p + k, rng),
+                                        R[:, 0])
+    v = Q @ a
+    if k < p:
+        g = rng.standard_normal(p)
+        g -= Q @ (Q.T @ g)
+        v += np.sqrt(a @ a / rng.chisquare(dof - p + k + 1)) * g
+    return v
 
 
 def draw_test_statistics(forms, gamma: MixingMatrix, mu, m: int, rng
@@ -456,9 +512,8 @@ def theory_predictions(config: ExperimentConfig) -> dict[str, float | None]:
         preds["t"] = 100.0 * t_misclass(trace_inputs(config), "v1")
     if "d" in preds or "oracle" in preds:
         delta = config.fixed_delta
-        delta2 = (mahalanobis(delta, config.covariance) if delta is not None
-                  else localized_distance(config.scenario.n0,
-                                          config.covariance))
+        delta2 = (config.squared_distance(delta) if delta is not None
+                  else config.localized_delta2)
         if "d" in preds:
             preds["d"] = 100.0 * d_misclass(TheoryInputsD.from_design(
                 config.p, config.n1, config.n2, delta2))

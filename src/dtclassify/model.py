@@ -120,14 +120,20 @@ def localized_distance(n0: int, sigma: CovarianceSpec) -> float:
     return mahalanobis(localized_mu2(n0, sigma.p), sigma)
 
 
-def delocalized_scale(scenario: ScenarioSpec, sigma: CovarianceSpec) -> float:
-    """The uniform-law scale e = Delta_L / beta."""
+def delocalized_scale(scenario: ScenarioSpec, sigma: CovarianceSpec,
+                      delta_l2: float | None = None) -> float:
+    """The uniform-law scale e = Delta_L / beta.
+
+    ``delta_l2`` is ``localized_distance(scenario.n0, sigma)`` when the
+    caller has it already; it is computed here otherwise.
+    """
     if sigma.kind not in ("identity", "equal_corr", "ar1"):
         raise CalibrationError(
             f"delocalized calibration is not defined for covariance kind "
             f"{sigma.kind!r}"
         )
-    delta_l2 = localized_distance(scenario.n0, sigma)
+    if delta_l2 is None:
+        delta_l2 = localized_distance(scenario.n0, sigma)
     return float(np.sqrt(delta_l2 / beta_squared(sigma)))
 
 

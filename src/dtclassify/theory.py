@@ -211,18 +211,22 @@ class TheoryInputsT:
                    ) -> "TheoryInputsT":
         """The terms of a fixed mean difference, from the dense Sigma.
 
-        ``gamma`` is Sigma's mixing matrix when the caller has it already;
-        it is built here otherwise.
+        For the identity they are delta'delta and 1'delta, and no p x p
+        matrix is built. ``gamma`` is Sigma's mixing matrix when the caller
+        has it already; it is built here otherwise.
         """
         delta = np.asarray(delta, dtype=float)
         if delta.shape != (sigma.p,):
             raise DomainError(
                 f"delta must have length {sigma.p}, got {delta.shape}"
             )
-        sig = build_covariance(sigma)
-        g3 = (gamma or MixingMatrix.from_spec(sigma)).cube()
-        return cls(sigma, n1, n2, trace_sigma_squared(sigma),
-                   float(delta @ sig @ delta), float(np.sum(g3 @ delta)),
+        if sigma.kind == "identity":
+            dsd, g3d = float(delta @ delta), float(np.sum(delta))
+        else:
+            dsd = float(delta @ build_covariance(sigma) @ delta)
+            g3 = (gamma or MixingMatrix.from_spec(sigma)).cube()
+            g3d = float(np.sum(g3 @ delta))
+        return cls(sigma, n1, n2, trace_sigma_squared(sigma), dsd, g3d,
                    float(delta @ delta),
                    theta_x=innov1.theta, theta_y=innov2.theta,
                    gamma_x=innov1.gamma4, gamma_y=innov2.gamma4)

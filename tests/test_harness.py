@@ -1,14 +1,16 @@
 """Monte Carlo harness: configs, determinism, and sanity of the errors."""
 
+import importlib.util
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dtclassify import classify, covariance, harness, lapack
+from dtclassify import classify, covariance, harness, lapack, theory
 from dtclassify.covariance import CovarianceSpec, MixingMatrix
 from dtclassify.data import LabeledDataset
 from dtclassify.errors import ConditioningError, DomainError, SingularityError
@@ -24,6 +26,15 @@ from dtclassify.harness import (
 )
 from dtclassify.model import InnovationSpec, ScenarioSpec
 from dtclassify.reproduce import reproduce
+
+
+def load_tracing():
+    """The benchmark's tracer, ``bench/tracing.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def small_config(**overrides):
@@ -269,6 +280,15 @@ class TestConfigMembers:
         assert calls["sigma_inv"] == 0
         assert "sigma_inv" not in vars(config)
 
+    def test_table1_inverts_sigma_once_per_config(self):
+        # counted as the benchmark counts it; the oracle, the delocalized
+        # scale and the overlay's Delta^2 all read the config's Sigma^-1
+        tracing = load_tracing()
+        with tracing.Tracer((), tracing.COUNTED) as tracer:
+            report = reproduce("table1", table_reps=50)
+        assert len(report.rows) == 10
+        assert tracer.counts["covariance.inverse_covariance.calls"] == 10
+
     def test_fixed_mu2_drawn_from_its_own_stream(self):
         config = small_config(
             scenario=ScenarioSpec("delocalized", 5, redraw_mu2=False))
@@ -392,6 +412,28 @@ class TestTheoryOverlay:
         assert (inputs.tr_sigma2, inputs.delta_sigma_delta,
                 inputs.ones_gamma3_delta) == dense
         assert "gamma" not in vars(config.gamma)
+
+    def test_identity_known_mean_trace_inputs_build_no_matrix(
+            self, monkeypatch):
+        # delta' Sigma delta and 1' Gamma^3 delta are delta'delta and 1'delta
+        config = small_config(p=500, covariance=CovarianceSpec.identity(500),
+                              scenario=ScenarioSpec("localized", 10),
+                              classifiers=("t",))
+        delta = config.fixed_delta
+        built = []
+
+        def counted(spec):
+            built.append(spec.p)
+            return np.eye(spec.p)
+
+        for module in (covariance, theory):
+            monkeypatch.setattr(module, "build_covariance", counted)
+        monkeypatch.setattr(MixingMatrix, "cube", counted)
+        inputs = trace_inputs(config)
+        assert built == []
+        assert (inputs.delta_sigma_delta, inputs.ones_gamma3_delta,
+                inputs.norm2) == (10.0, 10.0, 10.0)
+        assert inputs.delta_sigma_delta == float(delta @ np.eye(500) @ delta)
 
     def test_overlay_attached_to_results(self):
         result = run_experiment(small_config(reps=5))

@@ -3,10 +3,12 @@
 For normal innovations and n1 = n2 a replication is drawn from
 (xbar, ybar, A) and the rules' projections of the test rows
 (``harness.reduced_replication``) instead of from n x p rows
-(``harness.row_replication``). The two draw different random numbers, so
-they are compared in law: the Bartlett draw's moments, each rule's linear
-form against its statistics function, and two-sample tests on the
-per-replication errors.
+(``harness.row_replication``). With naive Bayes, A comes from a p x p
+Bartlett factor; without it, the D-rule's A^-1 (xbar - ybar) comes from an
+at most 4 x 4 Schur complement (``harness.whitened_solve``). The samplers
+draw different random numbers, so they are compared in law: the Bartlett
+and Schur draws' moments, each rule's linear form against its statistics
+function, and two-sample tests on the per-replication errors.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from scipy.linalg.lapack import dpocon
 from scipy.stats import ks_2samp
 
-from dtclassify import classify, covariance, harness
+from dtclassify import classify, covariance, harness, lapack
 from dtclassify.cli import main
 from dtclassify.covariance import (
     CovarianceSpec,
@@ -37,8 +39,17 @@ def config_of(**overrides):
 
 
 def per_rep_errors(path, config) -> np.ndarray:
-    """reps x rules total test error shares from one replication path."""
-    counts = [path(config, r) for r in range(config.reps)]
+    """reps x rules total test error shares from one replication path.
+
+    Run on one BLAS thread, as ``run_experiment`` runs replications: on two,
+    the row path's small triangular solves take about ten times as long.
+    """
+    before = lapack.blas_threads()
+    lapack.set_blas_threads(1)
+    try:
+        counts = [path(config, r) for r in range(config.reps)]
+    finally:
+        lapack.set_blas_threads(before)
     m = config.test1 + config.test2
     return np.array([[sum(c[rule]) / m for rule in config.classifiers]
                      for c in counts])
@@ -93,6 +104,63 @@ class TestBartlett:
         for T in (square, wide):
             assert np.all(np.triu(T, 1) == 0.0)
             assert np.all(np.diag(T) > 0.0)
+
+
+class TestWhitenedSolve:
+    @pytest.mark.parametrize("p, reads", [(6, 2), (3, 3)],
+                             ids=["tail", "k = p"])
+    def test_exact_moments(self, p, reads):
+        # W ~ W_p(I, dof): E W^-1 = I / (dof - p - 1) and
+        # E W^-2 = (dof - 1) I / ((dof - p)(dof - p - 1)(dof - p - 3))
+        rng = np.random.default_rng(21)
+        dof, n = p + 15, 10000
+        e = rng.standard_normal(p)
+        columns = rng.standard_normal((p, reads))
+        draws = np.array([harness.whitened_solve(e, columns, dof, rng)
+                          for _ in range(n)])
+        se = draws.std(axis=0, ddof=1) / np.sqrt(n)
+        assert np.all(np.abs(draws.mean(axis=0) - e / (dof - p - 1))
+                      < 4.5 * se)
+        norm2 = np.sum(draws**2, axis=1)
+        expected = (dof - 1) * (e @ e) / (
+            (dof - p) * (dof - p - 1) * (dof - p - 3))
+        assert abs(norm2.mean() - expected) < \
+            4.5 * norm2.std(ddof=1) / np.sqrt(n)
+
+    @pytest.mark.parametrize("rules, sizes", [
+        (("d",), [3]), (("d", "t", "oracle"), [4]), (("t", "oracle"), []),
+        (("d", "nb"), [8]), (("nb",), [8]), (RULES, [8]),
+    ])
+    def test_p_by_p_factor_only_with_naive_bayes(self, monkeypatch, rules,
+                                                 sizes):
+        # the Schur draw factors k = 1 + (m, mu2, and Gamma d for T) columns
+        seen, solvers = [], []
+        real_factor = harness.bartlett_factor
+        real_solver = classify.whitened_scatter_solver
+
+        def factor(p, dof, rng):
+            seen.append(p)
+            return real_factor(p, dof, rng)
+
+        def solver(T, gamma):
+            solvers.append(T.shape)
+            return real_solver(T, gamma)
+
+        monkeypatch.setattr(harness, "bartlett_factor", factor)
+        monkeypatch.setattr(classify, "whitened_scatter_solver", solver)
+        config = config_of(covariance=SPECS["ar1"], classifiers=rules, reps=1)
+        assert config.p == 8
+        counts = harness.reduced_replication(config, 0)
+        assert set(counts) == set(rules)
+        assert seen == sizes
+        assert solvers == ([(8, 8)] if {"d", "nb"} <= set(rules) else [])
+
+    def test_guard_names_the_schur_complement(self, monkeypatch):
+        monkeypatch.setattr(covariance, "CONDITION_LIMIT", 1.0)
+        config = config_of(classifiers=("d", "t"), reps=2)
+        with pytest.raises(ConditioningError,
+                           match="replication 1: Schur complement"):
+            harness.reduced_replication(config, 1)
 
 
 class TestLinearForms:
@@ -184,19 +252,35 @@ class TestTestStatistics:
 SPECS = {"identity": CovarianceSpec.identity(8),
          "equal_corr": CovarianceSpec.equal_corr(8, 0.4),
          "ar1": CovarianceSpec.ar1(8, 0.4),
-         "diagonal": CovarianceSpec.diagonal(np.linspace(0.25, 4.0, 8))}
-# the delocalized law is calibrated for the first three kinds only; unequal
+         "diagonal": CovarianceSpec.diagonal(np.linspace(0.25, 4.0, 8)),
+         "p2": CovarianceSpec.ar1(2, 0.5),
+         "p4": CovarianceSpec.equal_corr(4, 0.3)}
+# every rule, so the D-rule's scatter comes from the p x p Bartlett factor.
+# The delocalized law is calibrated for the first three kinds only; unequal
 # variances show whether naive Bayes sees Sigma's diagonal
 GRID = [(kind, scenario) for kind in ("identity", "equal_corr", "ar1")
         for scenario in ("localized", "delocalized")] + [
     ("diagonal", "localized")]
+# without naive Bayes the D-rule's direction comes from the Schur draw, whose
+# basis turns with the redrawn delocalized mean. At p <= 4 the basis spans
+# the whole space (k = p), leaving no tail term. (At p = 2 with three rules
+# the error shares correlate so highly that the Fisher z check's normal-
+# theory sd is about half the bootstrap one, so p = 2 runs the D-rule alone.)
+SCHUR_GRID = [(kind, "localized" if kind == "diagonal" else "delocalized",
+               rules) for kind in ("identity", "equal_corr", "ar1", "diagonal")
+              for rules in ("d", "d+t+oracle")] + [
+    ("p2", "delocalized", "d"), ("p4", "delocalized", "d+t+oracle")]
 
 
-@pytest.fixture(scope="module", params=GRID, ids=lambda g: "-".join(g))
+@pytest.fixture(scope="module", params=GRID + SCHUR_GRID,
+                ids=lambda g: "-".join(g))
 def both_paths(request):
-    kind, scenario = request.param
-    config = config_of(covariance=SPECS[kind],
-                       scenario=ScenarioSpec(scenario, 3))
+    kind, scenario, *rules = request.param
+    spec = SPECS[kind]
+    config = config_of(p=spec.p, covariance=spec,
+                       scenario=ScenarioSpec(scenario, min(3, spec.p)),
+                       classifiers=tuple(rules[0].split("+")) if rules
+                       else RULES)
     return (per_rep_errors(harness.row_replication, config),
             per_rep_errors(harness.reduced_replication, config))
 
@@ -204,17 +288,18 @@ def both_paths(request):
 class TestAgreementInLaw:
     def test_each_rule_two_sample_ks(self, both_paths):
         rows, reduced = both_paths
-        for i, rule in enumerate(RULES):
-            assert ks_2samp(rows[:, i], reduced[:, i]).pvalue > 1e-3, rule
+        for i in range(rows.shape[1]):
+            assert ks_2samp(rows[:, i], reduced[:, i]).pvalue > 1e-3, i
 
     def test_between_rule_correlations(self, both_paths):
         # Fisher z of each pair's correlation: the two estimates are
         # independent, so their difference has sd sqrt(2 / (reps - 3))
         rows, reduced = both_paths
         sd = np.sqrt(2.0 / (len(rows) - 3))
-        pairs = np.triu_indices(len(RULES), 1)
-        z_rows, z_reduced = (np.arctanh(np.corrcoef(errors.T)[pairs])
-                             for errors in (rows, reduced))
+        pairs = np.triu_indices(rows.shape[1], 1)
+        z_rows, z_reduced = (
+            np.arctanh(np.atleast_2d(np.corrcoef(errors.T))[pairs])
+            for errors in (rows, reduced))
         assert np.all(np.abs(z_rows - z_reduced) < 4.0 * sd)
 
 
