@@ -139,7 +139,7 @@ def whitened_scatter_solver(T, gamma):
                      "whitened pooled scatter", "p/n too close to 1")
 
     def solve(v):
-        return gamma.unmix(_factored_solve(T, gamma.unmix(v)))
+        return gamma.unmix(lapack.cholesky_solve(T, gamma.unmix(v)))
 
     return solve
 
@@ -154,13 +154,7 @@ def schur_complement_solve(T, r) -> np.ndarray:
     _check_condition(T, np.abs(T @ T.T).sum(axis=0).max(),
                      "Schur complement of the whitened pooled scatter",
                      "p/n too close to 1")
-    return _factored_solve(T, r)
-
-
-def _factored_solve(T, v) -> np.ndarray:
-    """(T T')^-1 v, T lower triangular."""
-    return lapack.solve_triangular(T, lapack.solve_triangular(T, v),
-                                   trans=True)
+    return lapack.cholesky_solve(T, r)
 
 
 def d_statistics(stats: TrainedStats, Z) -> np.ndarray:
@@ -255,8 +249,9 @@ def linear_forms(classifiers, stats: TrainedStats, scatter_solve=None,
     u = xbar - ybar, both with weight 2 alpha and m = (xbar + ybar) / 2;
     ``nb`` takes u = (xbar - ybar) / ``pooled_variances`` with weight 1;
     the oracle takes u = Sigma^-1 (mu1 - mu2), m = (mu1 + mu2) / 2 and
-    weight 1 from ``truth`` = (mu1, mu2, Sigma^-1). Returns
-    {rule: (c, w)} with c = weight m'u and w = -weight u.
+    weight 1 from ``truth`` = (mu1, mu2, Sigma^-1). ``scatter_solve`` is
+    called once, with xbar - ybar and no other vector, and may rely on
+    that. Returns {rule: (c, w)} with c = weight m'u and w = -weight u.
     """
     if stats.n1 != stats.n2:
         raise DomainError("linear forms need n1 = n2")

@@ -203,6 +203,9 @@ class MixingMatrix:
     term 1' Gamma^3 delta in the trace-criterion variance is tied to this
     specific choice. For the identity no root is stored: ``mix`` and
     ``unmix`` return their argument, and ``gamma`` forms I_p only if read.
+    For equal correlation ``mix`` and ``unmix`` take a closed form, O(p)
+    work per column of their argument; the diagonal and AR(1) kinds
+    multiply by the dense root or its inverse.
     """
 
     source: CovarianceSpec
@@ -215,8 +218,6 @@ class MixingMatrix:
         if spec.kind == "diagonal":
             return cls(spec, np.diag(np.sqrt(spec.sigmas)))
         if spec.kind == "equal_corr":
-            # Sigma = (1-rho) I + rho J has eigenvalues 1-rho and 1+(p-1)rho,
-            # so any power is a I + b J/p in the same eigenbasis.
             return cls(spec, _equal_corr_power(spec, 0.5))
         sigma = build_covariance(spec)
         vals, vecs = np.linalg.eigh(sigma)
@@ -238,12 +239,22 @@ class MixingMatrix:
         return np.eye(self.source.p) if self.root is None else self.root
 
     def mix(self, M) -> np.ndarray:
-        """Gamma @ M; M itself for the identity."""
-        return M if self.is_identity else self.gamma @ M
+        """Gamma @ M for a vector or a matrix M; M itself for the identity."""
+        return self._times(M, 0.5)
 
     def unmix(self, M) -> np.ndarray:
-        """Gamma^-1 @ M; M itself for the identity."""
-        return M if self.is_identity else self._inverse @ M
+        """Gamma^-1 @ M, as ``mix``."""
+        return self._times(M, -0.5)
+
+    def _times(self, M, exponent: float) -> np.ndarray:
+        """Sigma^exponent @ M, exponent +-1/2."""
+        kind = self.source.kind
+        if kind == "identity":
+            return M
+        if kind == "equal_corr":
+            a, b = _equal_corr_coefficients(self.source, exponent)
+            return a * M + b * M.sum(axis=0)
+        return (self.gamma if exponent > 0 else self._inverse) @ M
 
     @cached_property
     def _inverse(self) -> np.ndarray:
@@ -264,10 +275,21 @@ class MixingMatrix:
         return float(np.sum(self.cube()))
 
 
-def _equal_corr_power(spec: CovarianceSpec, exponent: float) -> np.ndarray:
+def _equal_corr_coefficients(spec: CovarianceSpec, exponent: float
+                             ) -> tuple[float, float]:
+    """(a, b) with Sigma^exponent = a I + b J for equal correlation.
+
+    Sigma = (1-rho) I + rho J has eigenvalues 1-rho and 1+(p-1)rho, the
+    latter on the eigenvector 1/sqrt(p), so any power is a I + b J.
+    """
     p, rho = spec.p, spec.rho
-    lam_ones = (1.0 + (p - 1) * rho) ** exponent  # eigenvector 1/sqrt(p)
+    lam_ones = (1.0 + (p - 1) * rho) ** exponent
     lam_rest = (1.0 - rho) ** exponent
-    out = np.full((p, p), (lam_ones - lam_rest) / p)
-    np.fill_diagonal(out, lam_rest + (lam_ones - lam_rest) / p)
+    return lam_rest, (lam_ones - lam_rest) / p
+
+
+def _equal_corr_power(spec: CovarianceSpec, exponent: float) -> np.ndarray:
+    a, b = _equal_corr_coefficients(spec, exponent)
+    out = np.full((spec.p, spec.p), b)
+    np.fill_diagonal(out, a + b)
     return out

@@ -4,10 +4,15 @@ A replication draws fresh training and test samples (and, in the
 delocalized scenario, optionally a fresh second mean vector) and counts
 each requested classifier's test errors. ``row_replication`` draws the
 rows, fits once and scores every rule through ``rule_statistics``, which
-also scores labeled data in ``classify_dataset``. For normal innovations
-and n1 = n2, ``reduced_replication`` draws the same miscounts in law from
-the sufficient statistics and the rules' projections of the test rows;
-``run_replication`` picks it then (``ExperimentConfig.sampler``).
+also scores labeled data in ``classify_dataset``; without the D-rule and
+naive Bayes it draws the two training means instead of the training rows.
+For normal innovations and n1 = n2, ``reduced_replication`` draws the same
+miscounts in law from the sufficient statistics and the rules' projections
+of the test rows; ``run_replication`` picks it then
+(``ExperimentConfig.sampler``). Its arithmetic is a few p-vectors and
+k x k matrices (k <= 4), so what it spends goes mostly to calls: it draws
+both test groups from one QR and one block of normals, and takes its QR
+factorizations and triangular solves from ``lapack`` directly.
 Replications are independent work units: each derives its own RNG stream
 from (master_seed, rep_index), so results are bit-identical regardless of
 how many workers execute them.
@@ -27,6 +32,7 @@ processes start once and not once per experiment.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -179,6 +185,12 @@ class ExperimentConfig:
                                    self.mean_scale)[1]
 
     @cached_property
+    def white_fixed_mu2(self) -> np.ndarray | None:
+        """Gamma^-1 mu2 for the fixed mu2, or None when redrawn per rep."""
+        mu2 = self.fixed_mu2
+        return None if mu2 is None else self.gamma.unmix(mu2)
+
+    @cached_property
     def mean_scale(self) -> float:
         """The scale e of the delocalized uniform law of mu2."""
         return delocalized_scale(self.scenario, self.covariance,
@@ -237,21 +249,34 @@ def _means(config: ExperimentConfig, rng) -> tuple[np.ndarray, np.ndarray]:
 
 def row_replication(config: ExperimentConfig, rep_index: int
                     ) -> dict[str, tuple[int, int]]:
-    """A replication from n1 + n2 + m1 + m2 sampled rows; any config."""
+    """A replication from sampled rows; any config.
+
+    Draws n1 + n2 training rows when the D-rule or naive Bayes is
+    requested. The T-rule and the oracle read the training samples only
+    through their means, so without those two rules xbar and ybar are drawn
+    directly (``PopulationModel.sample_mean``), exactly in law. Then
+    m1 + m2 test rows.
+    """
     rng = np.random.default_rng([config.master_seed, rep_index])
     mu1, mu2 = _means(config, rng)
     pop1 = PopulationModel(mu1, config.gamma, config.innovation1)
     pop2 = PopulationModel(mu2, config.gamma, config.innovation2)
-    truth = ((mu1, mu2, config.sigma_inv)
-             if "oracle" in config.classifiers else None)
+    rules = config.classifiers
+    truth = (mu1, mu2, config.sigma_inv) if "oracle" in rules else None
 
     try:
-        X = pop1.sample(config.n1, rng)
-        Y = pop2.sample(config.n2, rng)
-        Z1 = pop1.sample(config.test1, rng)
-        Z2 = pop2.sample(config.test2, rng)
-        Z = np.vstack([Z1, Z2])
-        scores = rule_statistics(config.classifiers, X, Y, Z, truth)
+        rows = "d" in rules or "nb" in rules
+        if rows:
+            X = pop1.sample(config.n1, rng)
+            Y = pop2.sample(config.n2, rng)
+        else:
+            stats = classify.TrainedStats(pop1.sample_mean(config.n1, rng),
+                                          pop2.sample_mean(config.n2, rng),
+                                          config.n1, config.n2)
+        Z = np.vstack([pop1.sample(config.test1, rng),
+                       pop2.sample(config.test2, rng)])
+        scores = (rule_statistics(rules, X, Y, Z, truth) if rows
+                  else fitted_rule_statistics(rules, stats, Z, truth))
     except NumericalError as exc:
         raise type(exc)(f"replication {rep_index}: {exc}") from exc
     return {clf: (int(np.sum(s[:config.test1] > 0)),
@@ -270,16 +295,17 @@ def reduced_replication(config: ExperimentConfig, rep_index: int
     reads all of diag A, so with it W = T T' is drawn whole, T from
     Bartlett's decomposition. Without it the D-rule reads A only through
     A^-1 (xbar - ybar), which ``whitened_solve`` draws from an at most
-    4 x 4 Wishart. Each rule's statistic is then c + w'z, and
-    ``draw_test_statistics`` draws the test rows' statistics directly.
+    4 x 4 Wishart, from the whitened means Gamma^-1 xbar and
+    Gamma^-1 ybar. Each rule's statistic is then c + w'z, and
+    ``draw_test_statistics`` draws both test groups' statistics directly.
     """
     rng = np.random.default_rng([config.master_seed, rep_index])
     mu1, mu2 = _means(config, rng)
     gamma, p, rules = config.gamma, config.p, config.classifiers
+    z1, z2 = rng.standard_normal((2, p))
     stats = classify.TrainedStats(
-        mu1 + gamma.mix(rng.standard_normal(p)) / np.sqrt(config.n1),
-        mu2 + gamma.mix(rng.standard_normal(p)) / np.sqrt(config.n2),
-        config.n1, config.n2)
+        mu1 + gamma.mix(z1) / math.sqrt(config.n1),
+        mu2 + gamma.mix(z2) / math.sqrt(config.n2), config.n1, config.n2)
     solve = pooled_variances = None
     dof = config.n1 + config.n2 - 2
     try:
@@ -289,19 +315,27 @@ def reduced_replication(config: ExperimentConfig, rep_index: int
             if "d" in rules:
                 solve = classify.whitened_scatter_solver(T, gamma)
         elif "d" in rules:
-            # u = A^-1 v is read through m'u and mu2'u (mu1 = 0), and
+            # the whitened means Gamma^-1 xbar (mu1 = 0) and Gamma^-1 ybar,
+            # and e = Gamma^-1 (xbar - ybar), whose solve the D-rule reads
+            white_mu2 = config.white_fixed_mu2
+            if white_mu2 is None:  # mu2 is redrawn in each replication
+                white_mu2 = gamma.unmix(mu2)
+            white_x = z1 / math.sqrt(config.n1)
+            white_y = white_mu2 + z2 / math.sqrt(config.n2)
+            e = white_x - white_y
+            # u = A^-1 (xbar - ybar) is read through m'u and mu2'u, and
             # through Gamma u in the QR of the rules' Gamma w: its norm and
             # its products with Gamma (xbar - ybar) for T and with the
             # oracle's Gamma Sigma^-1 (mu1 - mu2) = -Gamma^-1 mu2
-            mid = (stats.mean_x + stats.mean_y) / 2.0
-            reads = gamma.unmix(np.column_stack([mid, mu2]))
+            reads = [(white_x + white_y) / 2.0, white_mu2]
             if "t" in rules:
-                reads = np.column_stack(
-                    [reads, gamma.mix(stats.mean_x - stats.mean_y)])
+                reads.append(gamma.mix(stats.mean_x - stats.mean_y))
 
-            def solve(v):
-                return gamma.unmix(
-                    whitened_solve(gamma.unmix(v), reads, dof, rng))
+            def solve(diff):
+                # linear_forms passes xbar - ybar alone, whose whitened form
+                # is e, so diff itself is not read
+                return gamma.unmix(whitened_solve(e, np.column_stack(reads),
+                                                  dof, rng))
 
         truth = (mu1, mu2, config.sigma_inv) if "oracle" in rules else None
         forms = classify.linear_forms(rules, stats, solve, pooled_variances,
@@ -309,10 +343,12 @@ def reduced_replication(config: ExperimentConfig, rep_index: int
     except NumericalError as exc:
         raise type(exc)(f"replication {rep_index}: {exc}") from exc
 
-    s1 = draw_test_statistics(forms, gamma, mu1, config.test1, rng)
-    s2 = draw_test_statistics(forms, gamma, mu2, config.test2, rng)
-    mis1, mis2 = np.sum(s1 > 0, axis=0), np.sum(s2 <= 0, axis=0)
-    return {clf: (int(mis1[i]), int(mis2[i])) for i, clf in enumerate(forms)}
+    m1 = config.test1
+    s = draw_test_statistics(forms, gamma, [mu1, mu2], [m1, config.test2],
+                             rng)
+    mis1 = (s[:m1] > 0).sum(axis=0).tolist()
+    mis2 = (s[m1:] <= 0).sum(axis=0).tolist()
+    return dict(zip(forms, zip(mis1, mis2)))
 
 
 def whitened_solve(e, reads, dof: int, rng) -> np.ndarray:
@@ -330,7 +366,7 @@ def whitened_solve(e, reads, dof: int, rng) -> np.ndarray:
     caller reads v through reads' v and ||v||: the products come from the
     solve with S alone, which is the matrix the condition guard checks.
     """
-    Q, R = np.linalg.qr(np.column_stack([e, reads]))
+    Q, R = lapack.qr(np.column_stack([e, reads]))
     p, k = Q.shape
     a = classify.schur_complement_solve(bartlett_factor(k, dof - p + k, rng),
                                         R[:, 0])
@@ -338,24 +374,34 @@ def whitened_solve(e, reads, dof: int, rng) -> np.ndarray:
     if k < p:
         g = rng.standard_normal(p)
         g -= Q @ (Q.T @ g)
-        v += np.sqrt(a @ a / rng.chisquare(dof - p + k + 1)) * g
+        v += math.sqrt(a @ a / rng.chisquare(dof - p + k + 1)) * g
     return v
 
 
-def draw_test_statistics(forms, gamma: MixingMatrix, mu, m: int, rng
+def draw_test_statistics(forms, gamma: MixingMatrix, mu, m, rng
                          ) -> np.ndarray:
-    """The k rules' statistics of m rows z ~ N(mu, Gamma^2), exactly in law.
+    """The k rules' statistics of test rows z ~ N(mu, Gamma^2), exactly in
+    law.
 
-    ``forms`` maps each rule to (c, w), its statistic c + w'z. A row
-    z = mu + Gamma zeta gives c + W'mu + V'zeta with V = Gamma W. With
-    V = QR (Q with orthonormal columns), V'zeta = R'(Q'zeta) and
+    ``mu`` and ``m`` are sequences of the groups' means and row counts;
+    the groups' rows come out in that order. ``forms`` maps each rule to
+    (c, w), its statistic c + w'z.
+    A row z = mu + Gamma zeta gives c + W'mu + V'zeta with V = Gamma W.
+    With V = QR (Q with orthonormal columns), V'zeta = R'(Q'zeta) and
     Q'zeta ~ N(0, I): min(p, k) normals per row keep the joint law of the
-    rules, also when columns of W are zero or coincide. Returns m x k.
+    rules, also when columns of W are zero or coincide. One QR and one
+    draw serve every group: the normals come in the order that a draw per
+    group takes them. Returns (sum of m) x k.
     """
     c = np.array([form[0] for form in forms.values()])
     W = np.column_stack([form[1] for form in forms.values()])
-    R = np.linalg.qr(gamma.mix(W), mode="r")
-    return c + mu @ W + rng.standard_normal((m, R.shape[0])) @ R
+    R = lapack.qr(gamma.mix(W), mode="r")
+    out = rng.standard_normal((sum(m), R.shape[0])) @ R
+    start = 0
+    for mean, rows in zip(mu, m):
+        out[start:start + rows] += c + mean @ W
+        start += rows
+    return out
 
 
 def rule_statistics(classifiers, X, Y, Z, truth=None
@@ -366,6 +412,15 @@ def rule_statistics(classifiers, X, Y, Z, truth=None
     (mu1, mu2, Sigma^-1), read by the oracle only.
     """
     stats = classify.fit(X, Y, need_scatter="d" in classifiers)
+    variances = (pooled_variances_from_data(X, Y) if "nb" in classifiers
+                 else None)
+    return fitted_rule_statistics(classifiers, stats, Z, truth, variances)
+
+
+def fitted_rule_statistics(classifiers, stats, Z, truth=None,
+                           pooled_variances=None) -> dict[str, np.ndarray]:
+    """Each rule's statistics for rows of Z from fitted ``stats``, as in
+    ``rule_statistics``; naive Bayes reads ``pooled_variances``."""
     out: dict[str, np.ndarray] = {}
     for clf in classifiers:
         if clf == "d":
@@ -374,7 +429,7 @@ def rule_statistics(classifiers, X, Y, Z, truth=None
             out[clf] = classify.t_statistics(stats, Z)
         elif clf == "nb":
             out[clf] = classify.naive_bayes_statistics(
-                stats, pooled_variances_from_data(X, Y), Z)
+                stats, pooled_variances, Z)
         else:
             out[clf] = classify.oracle_statistics(*truth, Z)
     return out

@@ -4,8 +4,9 @@ numpy (>= 2.0, as built for PyPI) links scipy-openblas, an OpenBLAS with
 64-bit integers whose exported names carry a ``scipy_`` prefix and a
 ``64_`` suffix. The rules need three LAPACK routines from it -- the
 Cholesky factorization (dpotrf), triangular solves (dtrtrs) and the 1-norm
-condition estimate (dpocon) -- and the harness needs the library's thread
-count. All are bound here through ``ctypes``, once per process, from the
+condition estimate (dpocon) -- the reduced sampler two more, the QR
+factorization (dgeqrf) and its Q (dorgqr), and the harness needs the
+library's thread count. All are bound here through ``ctypes``, once per process, from the
 library that numpy's core extension has loaded, so there is one OpenBLAS
 in the process and this is its one handle.
 
@@ -18,6 +19,7 @@ copied.
 from __future__ import annotations
 
 import ctypes
+from functools import lru_cache
 
 import numpy as np
 from numpy._core import _multiarray_umath
@@ -54,6 +56,10 @@ _dtrtrs = _bind("dtrtrs_", [_CHAR, _CHAR, _CHAR, _INT_P, _INT_P, _ARRAY,
                             _LENGTH, _LENGTH, _LENGTH], None)
 _dpocon = _bind("dpocon_", [_CHAR, _INT_P, _ARRAY, _INT_P, _DOUBLE_P,
                             _DOUBLE_P, _ARRAY, _ARRAY, _INT_P, _LENGTH], None)
+_dgeqrf = _bind("dgeqrf_", [_INT_P, _INT_P, _ARRAY, _INT_P, _ARRAY, _ARRAY,
+                            _INT_P, _INT_P], None)
+_dorgqr = _bind("dorgqr_", [_INT_P, _INT_P, _INT_P, _ARRAY, _INT_P, _ARRAY,
+                            _ARRAY, _INT_P, _INT_P], None)
 _get_threads = _bind("openblas_get_num_threads", [], ctypes.c_int)
 _set_threads = _bind("openblas_set_num_threads", [ctypes.c_int], None)
 
@@ -66,6 +72,19 @@ def blas_threads() -> int:
 def set_blas_threads(count: int) -> None:
     """Run numpy's OpenBLAS on ``count`` threads."""
     _set_threads(count)
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of a contiguous array's first element.
+
+    ``a.ctypes.data`` builds a ctypes view of ``a`` first, at three times
+    the cost of reading the address from its buffer, which needs a
+    writable buffer in C order (an F-ordered array's transpose is one).
+    """
+    c_order = a if a.flags.c_contiguous else a.T
+    if a.size and c_order.flags.c_contiguous and a.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(c_order))
+    return a.ctypes.data
 
 
 def _order(a: np.ndarray) -> int:
@@ -100,7 +119,7 @@ def cholesky(a) -> np.ndarray:
     L = np.array(a, dtype=np.float64, order="F")
     n = _order(L)
     info = _INT()
-    _dpotrf(b"L", _INT(n), L.ctypes.data, _INT(max(n, 1)), info, 1)
+    _dpotrf(b"L", _INT(n), _address(L), _INT(max(n, 1)), info, 1)
     if _check(info, "dpotrf"):
         raise np.linalg.LinAlgError(
             f"leading minor of order {info.value} is not positive definite")
@@ -114,20 +133,31 @@ def solve_triangular(L: np.ndarray, b, trans: bool = False) -> np.ndarray:
     sides, and a new array of its shape is returned. Raises
     ``numpy.linalg.LinAlgError`` if L has a zero on its diagonal.
     """
+    return _solves(L, b, (trans,))
+
+
+def cholesky_solve(L: np.ndarray, b) -> np.ndarray:
+    """(L L')^-1 b for a lower triangular L: ``solve_triangular`` with L,
+    then with L', on one copy of ``b``."""
+    return _solves(L, b, (False, True))
+
+
+def _solves(L: np.ndarray, b, transposes) -> np.ndarray:
     n = _order(L)
     uplo, flipped = _factor_triangle(L)
     x = np.array(b, dtype=np.float64, order="F")
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"right-hand side of shape {x.shape} does not "
                          f"match order {n}")
-    nrhs = 1 if x.ndim == 1 else x.shape[1]
-    op = b"T" if trans != flipped else b"N"
-    info = _INT()
-    _dtrtrs(uplo, op, b"N", _INT(n), _INT(nrhs), L.ctypes.data,
-            _INT(max(n, 1)), x.ctypes.data, _INT(max(n, 1)), info, 1, 1, 1)
-    if _check(info, "dtrtrs"):
-        raise np.linalg.LinAlgError(
-            f"triangular factor has a zero at diagonal {info.value}")
+    nrhs = _INT(1 if x.ndim == 1 else x.shape[1])
+    order, lead, info = _INT(n), _INT(max(n, 1)), _INT()
+    factor, rhs = _address(L), _address(x)
+    for trans in transposes:
+        _dtrtrs(uplo, b"T" if trans != flipped else b"N", b"N", order, nrhs,
+                factor, lead, rhs, lead, info, 1, 1, 1)
+        if _check(info, "dtrtrs"):
+            raise np.linalg.LinAlgError(
+                f"triangular factor has a zero at diagonal {info.value}")
     return x
 
 
@@ -140,11 +170,63 @@ def reciprocal_condition(L: np.ndarray, anorm: float) -> float:
     """
     n = _order(L)
     uplo, _ = _factor_triangle(L)
-    work = np.empty(max(3 * n, 1))
-    iwork = np.empty(max(n, 1), dtype=np.int64)
+    # work, 3n doubles, then iwork, n 64-bit integers, in one buffer
+    buffer = np.empty(max(4 * n, 1))
+    work = _address(buffer)
     rcond, info = ctypes.c_double(), _INT()
-    _dpocon(uplo, _INT(n), L.ctypes.data, _INT(max(n, 1)),
-            ctypes.c_double(anorm), rcond, work.ctypes.data,
-            iwork.ctypes.data, info, 1)
+    _dpocon(uplo, _INT(n), _address(L), _INT(max(n, 1)),
+            ctypes.c_double(anorm), rcond, work, work + 3 * n * 8, info, 1)
     _check(info, "dpocon")
     return rcond.value
+
+
+# doubles of workspace per column: at least the optimal workspace of dgeqrf
+# and dorgqr, n times the block size 32 that LAPACK's ilaenv gives both
+_WORK_PER_COLUMN = 64
+
+
+def qr(a, mode: str = "reduced"):
+    """``numpy.linalg.qr(a, mode)`` of a real matrix, for mode "reduced"
+    or "r".
+
+    dgeqrf, and dorgqr for Q, on an F-ordered copy of ``a``: the routines
+    that numpy.linalg calls, in the same library, so Q and R are numpy's to
+    the bit and in its C order, without the error-state, ``triu`` and type
+    dispatch around them. Q is m x min(m, n), R is min(m, n) x n; "reduced"
+    returns (Q, R) and "r" returns R.
+    """
+    if mode not in ("reduced", "r"):
+        raise ValueError(f"unknown mode {mode!r}")
+    h = np.array(a, dtype=np.float64, order="F")
+    if h.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {h.shape}")
+    m, n = h.shape
+    k = min(m, n)
+    # tau in the first k entries, the workspace after them
+    buffer = np.empty(k + _WORK_PER_COLUMN * max(n, 1))
+    tau = _address(buffer)
+    work = tau + k * buffer.itemsize
+    rows, lead, lwork, info = _INT(m), _INT(max(m, 1)), \
+        _INT(buffer.size - k), _INT()
+    _dgeqrf(rows, _INT(n), _address(h), lead, tau, work, lwork, info)
+    _check(info, "dgeqrf")
+    R = h[:k].copy()
+    R[strictly_lower(k, n)] = 0.0
+    if mode == "r":
+        return R
+    Q = h[:, :k]  # the first k columns of h, still F-contiguous
+    _dorgqr(rows, _INT(k), _INT(k), _address(Q), lead, tau, work, lwork,
+            info)
+    _check(info, "dorgqr")
+    return np.ascontiguousarray(Q), R
+
+
+@lru_cache(maxsize=32)
+def strictly_lower(rows: int, cols: int) -> np.ndarray:
+    """The mask of the entries below the diagonal of a rows x cols matrix.
+
+    Built once per shape and read-only, as the mask is shared.
+    """
+    mask = np.tri(rows, cols, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask

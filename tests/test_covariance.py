@@ -210,6 +210,29 @@ class TestMixingMatrix:
         mix = MixingMatrix.from_spec(spec)
         assert mix.cube_sum() == float(np.sum(mix.cube()))
 
+    @pytest.mark.parametrize("spec", [
+        CovarianceSpec.diagonal(np.linspace(0.5, 2.0, 40)),
+        CovarianceSpec.equal_corr(40, 0.3),
+        CovarianceSpec.equal_corr(40, -0.02),
+        CovarianceSpec.ar1(40, 0.6),
+    ])
+    @pytest.mark.parametrize("columns", [None, 1, 3])
+    def test_mix_and_unmix_are_the_dense_products(self, spec, columns):
+        # equal correlation's closed form a I + b J agrees with the dense
+        # products; the other kinds are the dense products
+        mix = MixingMatrix.from_spec(spec)
+        rng = np.random.default_rng(columns or 0)
+        M = rng.standard_normal(40 if columns is None else (40, columns))
+        inverse = np.linalg.inv(mix.gamma)
+        for ours, dense in ((mix.mix(M), mix.gamma @ M),
+                            (mix.unmix(M), inverse @ M)):
+            assert ours.shape == M.shape
+            if spec.kind == "equal_corr":
+                np.testing.assert_allclose(ours, dense, rtol=1e-13,
+                                           atol=1e-13)
+            else:
+                np.testing.assert_array_equal(ours, dense)
+
     def test_identity_stores_no_matrix(self):
         mix = MixingMatrix.from_spec(CovarianceSpec.identity(6))
         assert mix.root is None

@@ -171,6 +171,47 @@ class TestReplications:
         assert not r.se_defined
         assert r.se_pct == 0.0
 
+    def test_means_drawn_directly_without_d_or_naive_bayes(self,
+                                                             monkeypatch):
+        # T and the oracle read the training samples only through their
+        # means: the row path draws m1 + m2 test rows and two means
+        config = small_config(n2=25, m1=6, m2=9, reps=2,
+                              innovation1=InnovationSpec("gamma_shifted"),
+                              classifiers=("t", "oracle"))
+        assert config.sampler == "rows"
+        sizes, means = [], []
+        real_sample = harness.PopulationModel.sample
+        real_mean = harness.PopulationModel.sample_mean
+        monkeypatch.setattr(
+            harness.PopulationModel, "sample",
+            lambda self, n, rng: sizes.append(n) or real_sample(self, n, rng))
+        monkeypatch.setattr(
+            harness.PopulationModel, "sample_mean",
+            lambda self, n, rng: means.append(n) or real_mean(self, n, rng))
+        run_replication(config, 0)
+        assert sizes == [6, 9] and means == [20, 25]
+        sizes.clear()
+        means.clear()
+        run_replication(small_config(n2=25, m1=6, m2=9, reps=2,
+                                     classifiers=("t", "nb")), 0)
+        assert sizes == [20, 25, 6, 9] and means == []
+
+    def test_t_errors_agree_in_law_with_rows_drawn(self):
+        # T alone draws xbar and ybar; with naive Bayes the n1 + n2 rows
+        # are drawn. The T-rule's errors follow one law either way
+        from scipy.stats import ks_2samp
+
+        skewed = InnovationSpec("gamma_shifted")
+        common = dict(n1=8, n2=12, m1=30, m2=30, reps=800,
+                      innovation1=skewed, innovation2=skewed,
+                      theory_overlay=False)
+        alone = run_experiment(small_config(classifiers=("t",), **common))
+        with_nb = run_experiment(small_config(classifiers=("t", "nb"),
+                                              **common))
+        assert ks_2samp(alone.classifiers["t"].per_rep_errors,
+                        with_nb.classifiers["t"].per_rep_errors
+                        ).pvalue > 1e-3
+
     def test_workers_below_one_rejected(self):
         with pytest.raises(DomainError, match="workers"):
             run_experiment(small_config(reps=2), workers=0)

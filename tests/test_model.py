@@ -146,6 +146,20 @@ class TestSampling:
         from dtclassify.covariance import build_covariance
         assert np.allclose(np.cov(X.T), build_covariance(spec), atol=0.03)
 
+    def test_sample_mean_mean_and_covariance(self):
+        # the mean of n rows: mu + Gamma (average of n innovations), whose
+        # covariance is Sigma / n, for skewed innovations too
+        spec = CovarianceSpec.ar1(4, 0.6)
+        mu = np.arange(4.0)
+        model = PopulationModel(mu, MixingMatrix.from_spec(spec),
+                                InnovationSpec("gamma_shifted"))
+        rng = np.random.default_rng(16)
+        means = np.array([model.sample_mean(7, rng) for _ in range(40000)])
+        from dtclassify.covariance import build_covariance
+        assert np.allclose(means.mean(axis=0), mu, atol=0.02)
+        assert np.allclose(np.cov(means.T) * 7, build_covariance(spec),
+                           atol=0.04)
+
     def test_sampler_rejects_empty(self):
         model = PopulationModel(np.zeros(3),
                                 MixingMatrix.from_spec(CovarianceSpec.identity(3)),

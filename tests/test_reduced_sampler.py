@@ -105,6 +105,22 @@ class TestBartlett:
             assert np.all(np.triu(T, 1) == 0.0)
             assert np.all(np.diag(T) > 0.0)
 
+    @pytest.mark.parametrize("p, dof", [(1, 5), (4, 9), (4, 2), (5, 9),
+                                        (12, 30)])
+    def test_factor_takes_the_array_draws_variates(self, p, dof):
+        # small factors draw their chi-squares one by one, larger ones as
+        # one array; both give the factor built from the array draw
+        r = min(p, dof)
+        ref_rng = np.random.default_rng(p + dof)
+        expected = np.zeros((p, r))
+        expected[np.tri(p, r, k=-1, dtype=bool)] = ref_rng.standard_normal(
+            p * r - r * (r + 1) // 2)
+        expected[np.arange(r), np.arange(r)] = np.sqrt(
+            ref_rng.chisquare(dof - np.arange(r)))
+        np.testing.assert_array_equal(
+            bartlett_factor(p, dof, np.random.default_rng(p + dof)),
+            expected)
+
 
 class TestWhitenedSolve:
     @pytest.mark.parametrize("p, reads", [(6, 2), (3, 3)],
@@ -155,12 +171,66 @@ class TestWhitenedSolve:
         assert seen == sizes
         assert solvers == ([(8, 8)] if {"d", "nb"} <= set(rules) else [])
 
+    @pytest.mark.parametrize("scenario, unmixes", [
+        (ScenarioSpec("localized", 3), 1),
+        (ScenarioSpec("delocalized", 3), 2),
+    ])
+    def test_schur_path_keeps_the_whitened_means(self, monkeypatch, scenario,
+                                                 unmixes):
+        # Gamma^-1 is applied only to the solution u and, when mu2 is
+        # redrawn, to mu2; a fixed mu2's Gamma^-1 mu2 is the config's
+        calls = []
+        real_unmix = MixingMatrix.unmix
+        monkeypatch.setattr(
+            MixingMatrix, "unmix",
+            lambda self, M: calls.append(np.shape(M)) or real_unmix(self, M))
+        config = config_of(covariance=SPECS["ar1"], scenario=scenario,
+                           classifiers=("d", "t", "oracle"), reps=2)
+        config.white_fixed_mu2  # built once per config, before the count
+        calls.clear()
+        for r in range(config.reps):
+            harness.reduced_replication(config, r)
+        assert calls == [(8,)] * (unmixes * config.reps)
+
     def test_guard_names_the_schur_complement(self, monkeypatch):
         monkeypatch.setattr(covariance, "CONDITION_LIMIT", 1.0)
         config = config_of(classifiers=("d", "t"), reps=2)
         with pytest.raises(ConditioningError,
                            match="replication 1: Schur complement"):
             harness.reduced_replication(config, 1)
+
+
+class TestGoldenCounts:
+    """Per-replication counts pinned at commit 9647430.
+
+    The reduced sampler's per-call work may change; its draws and results
+    may not. These counts are the Bartlett path (every rule, a redrawn
+    delocalized mean, equal correlation), the Schur path (the D-rule alone)
+    and the T-rule alone, as the sampler gave them at that commit.
+    """
+
+    CASES = {
+        "bartlett": (
+            dict(covariance=CovarianceSpec.equal_corr(8, 0.4),
+                 scenario=ScenarioSpec("delocalized", 3)),
+            [{"d": (7, 3), "t": (6, 5), "nb": (6, 6), "oracle": (3, 3)},
+             {"d": (5, 6), "t": (7, 7), "nb": (7, 8), "oracle": (6, 4)},
+             {"d": (6, 5), "t": (5, 4), "nb": (4, 4), "oracle": (3, 3)},
+             {"d": (11, 3), "t": (6, 3), "nb": (6, 3), "oracle": (6, 3)}]),
+        "schur": (dict(classifiers=("d",)),
+                  [{"d": (4, 11)}, {"d": (6, 6)}, {"d": (8, 5)},
+                   {"d": (6, 5)}]),
+        "t": (dict(classifiers=("t",)),
+              [{"t": (4, 8)}, {"t": (5, 6)}, {"t": (5, 4)}, {"t": (2, 4)}]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_counts_unchanged(self, case):
+        overrides, expected = self.CASES[case]
+        config = config_of(reps=len(expected), **overrides)
+        assert config.sampler == "reduced"
+        assert [harness.reduced_replication(config, r)
+                for r in range(config.reps)] == expected
 
 
 class TestLinearForms:
@@ -225,7 +295,7 @@ class TestTestStatistics:
         forms = {i: (float(i), wi) for i, wi in enumerate(ws)}
         mu = np.array([0.2, -0.1])
         draws = harness.draw_test_statistics(
-            forms, gamma, mu, 100000, np.random.default_rng(9))
+            forms, gamma, [mu], [100000], np.random.default_rng(9))
         W = np.column_stack(ws)
         assert draws.shape == (100000, 3)
         se = np.sqrt(np.diag(W.T @ sigma @ W) / len(draws))

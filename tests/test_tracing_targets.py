@@ -84,7 +84,8 @@ REDUCED_STAGES = (
 
 def test_reduced_stages_can_be_traced_inside_each_replication():
     # a tracer given these layers splits the reduced replication into
-    # its stages, and changes no result
+    # its stages, each called once per replication (both test groups'
+    # statistics come from one draw), and changes no result
     config = traced_config(p=6, n1=10, n2=10)
     plain = harness.run_experiment(config)
     with tracing.Tracer(tracing.LAYERS + REDUCED_STAGES) as tracer:
@@ -95,6 +96,6 @@ def test_reduced_stages_can_be_traced_inside_each_replication():
     spans = tracer.spans
     for name, _, _ in REDUCED_STAGES:
         calls = tracer.counts[name + ".calls"]
-        assert calls == config.reps * (2 if name.endswith("statistics") else 1)
+        assert calls == config.reps
         parents = {spans[s[3]][0] for s in spans if s[0] == name}
         assert parents == {"harness.replication"}
