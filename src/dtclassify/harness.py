@@ -27,7 +27,10 @@ Every replication runs on one BLAS thread: its matrices are small
 ``workers > 1`` they would compete with the pool for the same cores.
 Parallelism comes from the workers alone. A series of experiments, such
 as a reproduction grid, can share one ``worker_pool``, so that its
-processes start once and not once per experiment.
+processes start once and not once per experiment. It queues the whole
+series on entry, so no process waits for the next experiment, and keeps
+the caller on one BLAS thread throughout: a thread count restored between
+experiments would start OpenBLAS threads that spin next to the workers.
 """
 
 from __future__ import annotations
@@ -450,23 +453,64 @@ def _run_chunk(args) -> list[dict[str, tuple[int, int]]]:
     return [run_replication(config, r) for r in indices]
 
 
+class WorkerPool:
+    """Processes and the replication chunks queued on them, per config."""
+
+    def __init__(self, executor, size: int, configs=()):
+        self.executor = executor
+        self.size = size
+        # keyed by id; each entry holds its config, so the id stays its own
+        self.queued = {id(c): (c, self._submit(c)) for c in configs}
+
+    def _submit(self, config: ExperimentConfig) -> list:
+        size = min(self.size, config.reps)
+        # contiguous chunks, so their results come in replication order
+        return [self.executor.submit(_run_chunk, (config, range(
+            config.reps * i // size, config.reps * (i + 1) // size)))
+            for i in range(size)]
+
+    def counts(self, config: ExperimentConfig
+               ) -> list[dict[str, tuple[int, int]]]:
+        """The replications' counts of ``config``, queued on entry or now."""
+        queued = self.queued.pop(id(config), None)
+        futures = queued[1] if queued else self._submit(config)
+        return [row for future in futures for row in future.result()]
+
+
 @contextmanager
-def worker_pool(workers: int):
+def _one_blas_thread():
+    """OpenBLAS on one thread in the caller for the block, then as before."""
+    previous = _pin_one_blas_thread()
+    try:
+        yield
+    finally:
+        if previous != 1:
+            lapack.set_blas_threads(previous)
+
+
+@contextmanager
+def worker_pool(workers: int, configs=()):
     """Processes for a series of ``run_experiment`` calls; None at one worker.
 
-    Pass the pool to each call with the same ``workers``. It holds at most
-    one process per CPU; they start at the first pooled experiment and are
-    joined when the ``with`` block ends.
+    Pass the pool to each call. It holds at most one process per CPU and
+    queues every chunk of ``configs`` on entry; an error cancels the
+    chunks not yet started. The caller runs OpenBLAS on one thread until
+    the processes are joined, also at one worker.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     size = min(workers, os.cpu_count() or 1)
-    if size == 1:
-        yield None
-        return
-    with ProcessPoolExecutor(max_workers=size,
-                             initializer=_pin_one_blas_thread) as pool:
-        yield pool
+    with _one_blas_thread():
+        if size == 1:
+            yield None
+            return
+        with ProcessPoolExecutor(max_workers=size,
+                                 initializer=_pin_one_blas_thread) as executor:
+            try:
+                yield WorkerPool(executor, size, configs)
+            except BaseException:
+                executor.shutdown(cancel_futures=True)
+                raise
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None
@@ -474,33 +518,28 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None
     """Run all replications and aggregate medians / standard errors.
 
     The replications are split over at most one process per replication
-    and per CPU, in ``pool`` (from ``worker_pool(workers)``) if given, else
-    in a pool of their own. Runs with OpenBLAS on one thread and restores
-    the caller's thread count on return or on error.
+    and per CPU: in ``pool`` (from ``worker_pool``) if given, which may
+    have queued them already, else in a pool of their own. Runs with
+    OpenBLAS on one thread and restores the caller's thread count on
+    return or on error; inside ``worker_pool`` it is one already.
     """
     if config.reps < 1:
         raise DomainError("reps must be >= 1")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    previous = _pin_one_blas_thread()
-    try:
-        return _run_pinned(config, workers, pool)
-    finally:
-        if previous != 1:
-            lapack.set_blas_threads(previous)
-
-
-def _run_pinned(config: ExperimentConfig, workers: int, pool
-                ) -> ExperimentResult:
     size = min(workers, config.reps, os.cpu_count() or 1)
-    if size == 1:
-        counts = _run_chunk((config, range(config.reps)))
-    elif pool is None:
-        with worker_pool(size) as own:
-            counts = _pooled_counts(config, size, own)
-    else:
-        counts = _pooled_counts(config, size, pool)
+    with _one_blas_thread():
+        if pool is not None:
+            counts = pool.counts(config)
+        elif size == 1:
+            counts = _run_chunk((config, range(config.reps)))
+        else:
+            with worker_pool(size) as own:
+                counts = own.counts(config)
+        return _aggregate(config, counts)
 
+
+def _aggregate(config: ExperimentConfig, counts) -> ExperimentResult:
     m1, m2 = config.test1, config.test2
     preds = theory_predictions(config) if config.theory_overlay else {}
     results: dict[str, ClassifierResult] = {}
@@ -521,15 +560,6 @@ def _run_pinned(config: ExperimentConfig, workers: int, pool
             se_defined=se_defined,
         )
     return ExperimentResult(config, results)
-
-
-def _pooled_counts(config: ExperimentConfig, size: int, pool
-                   ) -> list[dict[str, tuple[int, int]]]:
-    # contiguous chunks, so map returns the counts in replication order
-    chunks = [(config, range(config.reps * i // size,
-                             config.reps * (i + 1) // size))
-              for i in range(size)]
-    return [row for part in pool.map(_run_chunk, chunks) for row in part]
 
 
 def trace_inputs(config: ExperimentConfig) -> TheoryInputsT:

@@ -131,6 +131,16 @@ REFERENCE_TABLE4 = {
     400: (7.88, 1.01), 450: (7.56, 0.95), 500: (7.40, 0.89),
 }
 
+# Correlation tables: (covariance kind, innovation law, reference, rules).
+CORR_TABLES = {
+    "table1": ("equal_corr", InnovationSpec("normal"), REFERENCE_TABLE1,
+               ("d", "nb", "oracle", "t")),
+    "table2": ("equal_corr", InnovationSpec("student_t", df=7),
+               REFERENCE_TABLE2, ("d", "nb", "oracle", "t")),
+    "table3": ("ar1", InnovationSpec("normal"), REFERENCE_TABLE3,
+               ("d", "oracle", "t")),
+}
+
 # Leukemia dataset: method -> (train errors, test errors, genes used).
 REFERENCE_TABLE5 = {
     "t": (0, 2, 7129), "road": (0, 1, 40), "scrda": (1, 2, 264),
@@ -170,7 +180,9 @@ def reproduce(target: str, scale: float = 1.0, table_reps: int | None = None,
               workers: int = 1, master_seed: int = 20240901) -> ReproReport:
     """Run one reproduction target at the given replication scale.
 
-    The target's grid points share one pool of ``workers`` processes.
+    The target's grid points share one pool of ``workers`` processes, which
+    queues the whole grid at once; each point's row is built as its
+    replications come back, while the pool works on the later points.
     """
     if target not in TARGETS:
         raise DomainError(f"unknown target {target!r}; choose from {TARGETS}")
@@ -179,76 +191,64 @@ def reproduce(target: str, scale: float = 1.0, table_reps: int | None = None,
                             else table_reps, scale)
     else:
         reps = _scaled_reps(FIGURE_DEFAULT_REPS, scale)
-    with worker_pool(workers) as pool:
-        run = partial(run_experiment, workers=workers, pool=pool)
-        if target == "table4":
-            return _table4(reps, run, master_seed)
-        if target in ("table1", "table2", "table3"):
-            return _corr_table(target, reps, run, master_seed)
-        if target == "fig1":
-            return _fig1(reps, run, master_seed)
-        if target == "fig2":
-            return _fig2(reps, run, master_seed)
-        return _fig5(reps, run, master_seed)
-
-
-def _corr_table(target: str, reps: int, run, master_seed: int
-                ) -> ReproReport:
-    """Equal-correlation (tables 1-2) and AR(1) (table 3) grids."""
-    if target == "table1":
-        kind, innov, reference = "equal_corr", InnovationSpec("normal"), \
-            REFERENCE_TABLE1
-        classifiers = ("d", "nb", "oracle", "t")
-    elif target == "table2":
-        kind, innov, reference = "equal_corr", \
-            InnovationSpec("student_t", df=7), REFERENCE_TABLE2
-        classifiers = ("d", "nb", "oracle", "t")
+    if target in CORR_TABLES:
+        grid = _corr_table(target, reps, master_seed)
     else:
-        kind, innov, reference = "ar1", InnovationSpec("normal"), \
-            REFERENCE_TABLE3
-        classifiers = ("d", "oracle", "t")
-
+        grid = {"table4": _table4, "fig1": _fig1, "fig2": _fig2,
+                "fig5": _fig5}[target](reps, master_seed)
     report = ReproReport(target, reps)
-    for rho in RHO_GRID:
-        sigma = CovarianceSpec(kind, 125, rho=rho)
-        config = ExperimentConfig(
-            p=125, n1=250, n2=250, covariance=sigma,
-            scenario=ScenarioSpec("delocalized", n0=10),
-            innovation1=innov, innovation2=innov,
-            classifiers=classifiers, reps=reps, master_seed=master_seed,
-        )
-        result = run(config)
-        row: dict = {"rho": rho}
-        for clf in classifiers:
-            r = result.classifiers[clf]
-            row[f"{clf}_median"] = r.median_error_pct
-            row[f"{clf}_se"] = r.se_pct
-            if r.theory_pred_pct is not None:
-                row[f"{clf}_theory"] = r.theory_pred_pct
-        for name, (med, se) in reference[rho].items():
-            row[f"ref_{name}_median"] = med
-            row[f"ref_{name}_se"] = se
-        report.rows.append(row)
+    # each point leaves the grid when it runs, so that its config and the
+    # config's lazy members (Gamma, Sigma^-1) are freed with its row
+    with worker_pool(workers, (config for config, _ in grid)) as pool:
+        while grid:
+            config, row = grid.pop(0)
+            result = run_experiment(config, workers, pool)
+            report.rows.append(row(config, result))
     return report
 
 
-def _table4(reps: int, run, master_seed: int) -> ReproReport:
-    report = ReproReport("table4", reps)
-    for n in range(100, 501, 50):
-        config = ExperimentConfig(
-            p=500, n1=n, n2=n, covariance=CovarianceSpec.identity(500),
-            scenario=ScenarioSpec("delocalized", n0=10),
-            classifiers=("t",), reps=reps, master_seed=master_seed,
-        )
-        result = run(config)
-        r = result.classifiers["t"]
-        med, se = REFERENCE_TABLE4[n]
-        report.rows.append({
-            "n1": n, "t_median": r.median_error_pct, "t_se": r.se_pct,
-            "t_theory": r.theory_pred_pct,
-            "ref_t_median": med, "ref_t_se": se,
-        })
-    return report
+# Each target's grid is a list of (config, row), where row(config, result)
+# gives the config's report row from its ExperimentResult.
+
+def _corr_table(target: str, reps: int, master_seed: int) -> list:
+    """Equal-correlation (tables 1-2) and AR(1) (table 3) grids."""
+    kind, innov, reference, classifiers = CORR_TABLES[target]
+    return [(ExperimentConfig(
+        p=125, n1=250, n2=250, covariance=CovarianceSpec(kind, 125, rho=rho),
+        scenario=ScenarioSpec("delocalized", n0=10),
+        innovation1=innov, innovation2=innov,
+        classifiers=classifiers, reps=reps, master_seed=master_seed,
+    ), partial(_corr_row, reference)) for rho in RHO_GRID]
+
+
+def _corr_row(reference: dict, config: ExperimentConfig, result) -> dict:
+    rho = config.covariance.rho
+    row: dict = {"rho": rho}
+    for clf, r in result.classifiers.items():
+        row[f"{clf}_median"] = r.median_error_pct
+        row[f"{clf}_se"] = r.se_pct
+        if r.theory_pred_pct is not None:
+            row[f"{clf}_theory"] = r.theory_pred_pct
+    for name, (med, se) in reference[rho].items():
+        row[f"ref_{name}_median"] = med
+        row[f"ref_{name}_se"] = se
+    return row
+
+
+def _table4(reps: int, master_seed: int) -> list:
+    return [(ExperimentConfig(
+        p=500, n1=n, n2=n, covariance=CovarianceSpec.identity(500),
+        scenario=ScenarioSpec("delocalized", n0=10),
+        classifiers=("t",), reps=reps, master_seed=master_seed,
+    ), _table4_row) for n in range(100, 501, 50)]
+
+
+def _table4_row(config: ExperimentConfig, result) -> dict:
+    r = result.classifiers["t"]
+    med, se = REFERENCE_TABLE4[config.n1]
+    return {"n1": config.n1, "t_median": r.median_error_pct,
+            "t_se": r.se_pct, "t_theory": r.theory_pred_pct,
+            "ref_t_median": med, "ref_t_se": se}
 
 
 def _fig1_config(p: int, n1: int, n2: int, reps: int, master_seed: int
@@ -265,63 +265,63 @@ def _fig1_config(p: int, n1: int, n2: int, reps: int, master_seed: int
     )
 
 
-def _fig1(reps: int, run, master_seed: int) -> ReproReport:
-    report = ReproReport("fig1", reps)
-    n1 = n2 = 250  # total training size 500, so y spans 0.1 .. 0.9
-    for p in range(50, 451, 50):
-        config = _fig1_config(p, n1, n2, reps, master_seed)
-        n = n1 + n2 - 2
-        y = p / n
-        inputs = TheoryInputsD(y, n1 / n, (4.0 / 3.0) * y)
-        result = run(config)
-        report.rows.append({
-            "p": p, "x": y,
-            "phi_theta1": normal_cdf(theta1(inputs)),
-            "phi_theta2": normal_cdf(theta2(y, inputs.delta2)),
-            "empirical": result.classifiers["d"].mean_error_pct / 100.0,
-        })
-    return report
+def _fig1(reps: int, master_seed: int) -> list:
+    # total training size 500, so y spans 0.1 .. 0.9
+    return [(_fig1_config(p, 250, 250, reps, master_seed), _fig1_row)
+            for p in range(50, 451, 50)]
 
 
-def _fig2(reps: int, run, master_seed: int) -> ReproReport:
-    report = ReproReport("fig2", reps)
-    for panel, (n1, n2) in (("lambda_half", (250, 250)),
-                            ("lambda_quarter", (125, 375))):
-        for p in range(50, 451, 50):
-            config = _fig1_config(p, n1, n2, reps, master_seed)
-            n = n1 + n2 - 2
-            inputs = TheoryInputsD(p / n, n1 / n, (4.0 / 3.0) * p / n)
-            result = run(config)
-            report.rows.append({
-                "panel": panel, "p": p, "x": p / n,
-                "phi_theta1": normal_cdf(theta1(inputs)),
-                "empirical": result.classifiers["d"].mean_error_pct / 100.0,
-            })
-    return report
+def _fig1_row(config: ExperimentConfig, result) -> dict:
+    n = config.n1 + config.n2 - 2
+    y = config.p / n
+    inputs = TheoryInputsD(y, config.n1 / n, (4.0 / 3.0) * y)
+    return {
+        "p": config.p, "x": y,
+        "phi_theta1": normal_cdf(theta1(inputs)),
+        "phi_theta2": normal_cdf(theta2(y, inputs.delta2)),
+        "empirical": result.classifiers["d"].mean_error_pct / 100.0,
+    }
 
 
-def _fig5(reps: int, run, master_seed: int) -> ReproReport:
-    report = ReproReport("fig5", reps)
-    for panel, innov in (("normal", InnovationSpec("normal")),
-                         ("gamma", InnovationSpec("gamma_shifted"))):
-        for n1 in range(50, 501, 50):
-            n2 = n1 + 100
-            config = ExperimentConfig(
-                p=500, n1=n1, n2=n2,
-                covariance=CovarianceSpec.identity(500),
-                scenario=ScenarioSpec("delocalized", n0=10),
-                innovation1=innov, innovation2=innov,
-                classifiers=("t",), reps=reps, master_seed=master_seed,
-                theory_overlay=False,
-            )
-            result = run(config)
-            row = {
-                "panel": panel, "n1": n1, "n2": n2,
-                # group-1 error matches the one-sided theoretical quantity
-                "empirical": result.classifiers["t"].mean_error_pi1_pct / 100.0,
-            }
-            inputs = trace_inputs(config)
-            for variant in ("v1", "v2", "v3"):
-                row[f"phi_{variant}"] = t_misclass(inputs, variant)
-            report.rows.append(row)
-    return report
+def _fig2(reps: int, master_seed: int) -> list:
+    return [(_fig1_config(p, n1, n2, reps, master_seed),
+             partial(_fig2_row, panel))
+            for panel, (n1, n2) in (("lambda_half", (250, 250)),
+                                    ("lambda_quarter", (125, 375)))
+            for p in range(50, 451, 50)]
+
+
+def _fig2_row(panel: str, config: ExperimentConfig, result) -> dict:
+    n = config.n1 + config.n2 - 2
+    inputs = TheoryInputsD(config.p / n, config.n1 / n,
+                           (4.0 / 3.0) * config.p / n)
+    return {
+        "panel": panel, "p": config.p, "x": config.p / n,
+        "phi_theta1": normal_cdf(theta1(inputs)),
+        "empirical": result.classifiers["d"].mean_error_pct / 100.0,
+    }
+
+
+def _fig5(reps: int, master_seed: int) -> list:
+    return [(ExperimentConfig(
+        p=500, n1=n1, n2=n1 + 100, covariance=CovarianceSpec.identity(500),
+        scenario=ScenarioSpec("delocalized", n0=10),
+        innovation1=innov, innovation2=innov,
+        classifiers=("t",), reps=reps, master_seed=master_seed,
+        theory_overlay=False,
+    ), partial(_fig5_row, panel))
+        for panel, innov in (("normal", InnovationSpec("normal")),
+                             ("gamma", InnovationSpec("gamma_shifted")))
+        for n1 in range(50, 501, 50)]
+
+
+def _fig5_row(panel: str, config: ExperimentConfig, result) -> dict:
+    row = {
+        "panel": panel, "n1": config.n1, "n2": config.n2,
+        # group-1 error matches the one-sided theoretical quantity
+        "empirical": result.classifiers["t"].mean_error_pi1_pct / 100.0,
+    }
+    inputs = trace_inputs(config)
+    for variant in ("v1", "v2", "v3"):
+        row[f"phi_{variant}"] = t_misclass(inputs, variant)
+    return row

@@ -3,14 +3,15 @@
 import importlib.util
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import weakref
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dtclassify import classify, covariance, harness, lapack, theory
+from dtclassify import classify, cli, covariance, harness, lapack, theory
 from dtclassify.covariance import CovarianceSpec, MixingMatrix
 from dtclassify.data import LabeledDataset
 from dtclassify.errors import ConditioningError, DomainError, SingularityError
@@ -25,7 +26,10 @@ from dtclassify.harness import (
     trace_inputs,
 )
 from dtclassify.model import InnovationSpec, ScenarioSpec
-from dtclassify.reproduce import reproduce
+from dtclassify.reproduce import RHO_GRID, reproduce
+
+# the package root re-exports the function under the module's name
+reproduce_module = importlib.import_module("dtclassify.reproduce")
 
 
 def load_tracing():
@@ -84,8 +88,9 @@ class TestConfigValidation:
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """A stand-in executor that records its sizes and maps in-process."""
-    sizes = []
+    """A stand-in executor that records its sizes and the tasks submitted
+    to it, and runs each task in-process as it is submitted."""
+    sizes, submitted = [], []
 
     class FakePool:
         def __init__(self, max_workers, initializer=None):
@@ -97,11 +102,21 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            submitted.append(args)
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
-    return SimpleNamespace(sizes=sizes, install=lambda: monkeypatch.setattr(
-        harness, "ProcessPoolExecutor", FakePool))
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    return SimpleNamespace(sizes=sizes, submitted=submitted,
+                           install=lambda: monkeypatch.setattr(
+                               harness, "ProcessPoolExecutor", FakePool))
 
 
 class TestReplications:
@@ -250,6 +265,46 @@ class TestReplications:
         pooled = reproduce("table4", table_reps=50, workers=2)
         assert fake_pool.sizes == [2]
         assert pooled.rows == serial.rows
+
+    def test_reproduce_queues_the_whole_grid_first(self, fake_pool,
+                                                   monkeypatch):
+        # every chunk of every grid point is submitted before the first
+        # point is collected, and each point is collected once, in order
+        fake_pool.install()
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        real, seen = reproduce_module.run_experiment, []
+
+        def collect(config, workers, pool):
+            seen.append((config.covariance.rho, len(fake_pool.submitted)))
+            return real(config, workers, pool)
+
+        monkeypatch.setattr(reproduce_module, "run_experiment", collect)
+        reproduce("table1", table_reps=50, workers=2)
+        assert seen == [(rho, 20) for rho in RHO_GRID]
+        assert [(args[0].covariance.rho, args[1])
+                for (args,) in fake_pool.submitted] == [
+            (rho, chunk) for rho in RHO_GRID
+            for chunk in (range(0, 25), range(25, 50))]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reproduce_frees_each_point_after_its_row(self, fake_pool,
+                                                      monkeypatch, workers):
+        # a config and its lazy members (Gamma, Sigma^-1) are not kept to
+        # the end of the target; only the previous point's result may still
+        # hold its config when the next point runs
+        fake_pool.install()
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        real, refs, alive = reproduce_module.run_experiment, [], []
+
+        def collect(config, workers, pool):
+            fake_pool.submitted.clear()  # the fake's record holds configs
+            alive.append(sum(ref() is not None for ref in refs[:-1]))
+            refs.append(weakref.ref(config))
+            return real(config, workers, pool)
+
+        monkeypatch.setattr(reproduce_module, "run_experiment", collect)
+        reproduce("table4", table_reps=50, workers=workers)
+        assert len(refs) == 9 and alive == [0] * 9
 
     def test_single_worker_pool_is_none(self, fake_pool):
         fake_pool.install()
@@ -401,6 +456,84 @@ class TestBlasThreads:
         with pytest.raises(ConditioningError, match="replication 0"):
             run_experiment(config)
         assert lapack.blas_threads() == 2
+
+    def test_pool_pins_the_caller_once_per_target(self, two_threads,
+                                                  monkeypatch):
+        # one pin on entering the pool, one restore after its processes
+        # are joined, and nothing between the grid points
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        events, real_set = [], lapack.set_blas_threads
+
+        class Logged(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                events.append("pool")
+                super().__init__(*args, **kwargs)
+
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                events.append("joined")
+
+        def logged_set(count):
+            events.append(("blas", count))
+            real_set(count)
+
+        real_run = reproduce_module.run_experiment
+
+        def logged_run(*args):
+            events.append("point")
+            return real_run(*args)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Logged)
+        monkeypatch.setattr(lapack, "set_blas_threads", logged_set)
+        monkeypatch.setattr(reproduce_module, "run_experiment", logged_run)
+        reproduce("table1", table_reps=50, workers=2)
+        assert events == [("blas", 1), "pool", *["point"] * len(RHO_GRID),
+                          "joined", ("blas", 2)]
+        assert lapack.blas_threads() == 2
+
+
+class TestQueuedGrid:
+    """A target's grid queued at once on a real pool of two processes."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+    @pytest.mark.parametrize("target, kwargs", [("table1", {"table_reps": 50}),
+                                                ("fig2", {"scale": 0.005})])
+    def test_pooled_rows_equal_serial_rows(self, target, kwargs):
+        serial = reproduce(target, **kwargs)
+        pooled = reproduce(target, workers=2, **kwargs)
+        assert pooled.rows == serial.rows
+
+    def test_failing_point_stops_the_queued_grid(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the D-rule's forms fail at rho = 0, the first point; the pool
+        # children are forked after these patches, so they run them too
+        log = tmp_path / "replications.log"
+        real_rep, real_forms = harness.run_replication, classify.linear_forms
+        current = {}
+
+        def logged(config, rep_index):
+            current["rho"] = config.covariance.rho
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{config.covariance.rho}\n")
+            return real_rep(config, rep_index)
+
+        def forms(*args, **kwargs):
+            if current["rho"] == 0.0:
+                raise ConditioningError("forced")
+            return real_forms(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_replication", logged)
+        monkeypatch.setattr(classify, "linear_forms", forms)
+        code = cli.main(["reproduce", "table1", "--reps", "50",
+                         "--workers", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "replication 0: forced" in capsys.readouterr().err
+        later = [line for line in log.read_text().split() if line != "0.0"]
+        # without the cancel, leaving the pool runs all 9 later points
+        assert len(later) < 50 * (len(RHO_GRID) - 1)
 
 
 class TestTheoryOverlay:
