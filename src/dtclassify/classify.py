@@ -22,7 +22,8 @@ statistic <= 0 (ties resolve to group 1 for reproducibility).
 
 When n1 = n2 (so alpha1 = alpha2 = alpha) every rule is affine in the query
 point, -weight (z - m)' u with m the midpoint of the two means;
-``linear_forms`` gives each rule's offset and vector in that form.
+``linear_forms`` gives each rule's offset and vector in that form, with the
+D-rule's u = A^-1 (xbar - ybar) passed in as a vector.
 """
 
 from __future__ import annotations
@@ -239,19 +240,18 @@ def oracle_statistics(mu1, mu2, sigma_inv, Z) -> np.ndarray:
     return -score
 
 
-def linear_forms(classifiers, stats: TrainedStats, scatter_solve=None,
+def linear_forms(classifiers, stats: TrainedStats, d_direction=None,
                  pooled_variances=None, truth=None
                  ) -> dict[str, tuple[float, np.ndarray]]:
     """Each rule's statistic as c + w'z, for equal group sizes.
 
     With alpha1 = alpha2 = alpha every rule is -weight (z - m)' u:
-    ``d`` takes u = A^-1 (xbar - ybar) from ``scatter_solve`` and ``t``
+    ``d`` takes u = ``d_direction``, which is A^-1 (xbar - ybar), and ``t``
     u = xbar - ybar, both with weight 2 alpha and m = (xbar + ybar) / 2;
     ``nb`` takes u = (xbar - ybar) / ``pooled_variances`` with weight 1;
     the oracle takes u = Sigma^-1 (mu1 - mu2), m = (mu1 + mu2) / 2 and
-    weight 1 from ``truth`` = (mu1, mu2, Sigma^-1). ``scatter_solve`` is
-    called once, with xbar - ybar and no other vector, and may rely on
-    that. Returns {rule: (c, w)} with c = weight m'u and w = -weight u.
+    weight 1 from ``truth`` = (mu1, mu2, Sigma^-1). Returns {rule: (c, w)}
+    with c = weight m'u and w = -weight u.
     """
     if stats.n1 != stats.n2:
         raise DomainError("linear forms need n1 = n2")
@@ -261,7 +261,7 @@ def linear_forms(classifiers, stats: TrainedStats, scatter_solve=None,
     for clf in classifiers:
         m, weight = mid, 2.0 * stats.alpha1
         if clf == "d":
-            u = scatter_solve(diff)
+            u = d_direction
         elif clf == "t":
             u = diff
         elif clf == "nb":

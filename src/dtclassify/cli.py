@@ -168,12 +168,7 @@ def _cmd_reproduce(args) -> int:
         path = dtio.emit_report(report, args.out)
         print(f"wrote {path}")
     else:
-        columns = report.columns()
-        print(",".join(columns))
-        for row in report.rows:
-            print(",".join(
-                row[c] if isinstance(row.get(c), str) else dtio.fmt(
-                    row.get(c)) for c in columns))
+        print("\n".join(dtio.csv_lines(report.columns(), report.rows)))
     return 0
 
 

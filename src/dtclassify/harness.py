@@ -1,21 +1,16 @@
 """Replicated Monte Carlo classification experiments.
 
-A replication draws fresh training and test samples (and, in the
-delocalized scenario, optionally a fresh second mean vector) and counts
-each requested classifier's test errors. ``row_replication`` draws the
-rows, fits once and scores every rule through ``rule_statistics``, which
-also scores labeled data in ``classify_dataset``; without the D-rule and
-naive Bayes it draws the two training means instead of the training rows.
-For normal innovations and n1 = n2, ``reduced_replication`` draws the same
-miscounts in law from the sufficient statistics and the rules' projections
-of the test rows; ``run_replication`` picks it then
-(``ExperimentConfig.sampler``). Its arithmetic is a few p-vectors and
-k x k matrices (k <= 4), so what it spends goes mostly to calls: it draws
-both test groups from one QR and one block of normals, and takes its QR
-factorizations and triangular solves from ``lapack`` directly.
-Replications are independent work units: each derives its own RNG stream
-from (master_seed, rep_index), so results are bit-identical regardless of
-how many workers execute them.
+A replication (``_replicate``) takes its RNG stream from (master_seed,
+rep_index), so results are bit-identical however many workers run them,
+draws mu2 when the delocalized mean is redrawn, then a training draw and a
+test draw, and counts each classifier's test errors. Training is rows,
+fitted once (``fit_rows``, as in ``classify_dataset``), or, for normal
+innovations, xbar, ybar and what the D-rule and naive Bayes read of the
+pooled scatter; testing is rows scored by ``fitted_rule_statistics``, or,
+for normal innovations and n1 = n2, the rules' statistics drawn from their
+linear forms. ``row_replication`` (the reference path) and
+``reduced_replication`` pair these halves; ``run_replication`` takes the
+reduced one where it applies (``ExperimentConfig.sampler``).
 
 What depends on the config alone -- Gamma, Sigma^-1, a fixed mean
 difference or mu2, the localized Delta_L^2 and the delocalized scale e --
@@ -132,6 +127,8 @@ class ExperimentConfig:
             )
         if self.scenario.n0 > self.p:
             raise DomainError("scenario sparsity n0 exceeds p")
+        if self.master_seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.master_seed}")
         if self.mu2_override is not None:
             mu2 = np.asarray(self.mu2_override, dtype=float)
             if mu2.shape != (self.p,):
@@ -184,8 +181,8 @@ class ExperimentConfig:
         if self.fixed_delta is not None or self.scenario.redraw_mu2:
             return self.fixed_delta
         rng = np.random.default_rng([self.master_seed, FIXED_MU_STREAM])
-        return make_scenario_means(self.scenario, self.covariance, rng,
-                                   self.mean_scale)[1]
+        return make_scenario_means(self.scenario, self.p, rng,
+                                   self.mean_scale)
 
     @cached_property
     def white_fixed_mu2(self) -> np.ndarray | None:
@@ -241,117 +238,120 @@ def run_replication(config: ExperimentConfig, rep_index: int
     return row_replication(config, rep_index)
 
 
-def _means(config: ExperimentConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    """(mu1, mu2) of one replication; mu1 = 0, mu2 fixed or drawn first."""
-    mu2 = config.fixed_mu2
-    if mu2 is None:
-        mu2 = make_scenario_means(config.scenario, config.covariance, rng,
-                                  config.mean_scale)[1]
-    return np.zeros(config.p), mu2
-
-
 def row_replication(config: ExperimentConfig, rep_index: int
                     ) -> dict[str, tuple[int, int]]:
-    """A replication from sampled rows; any config.
-
-    Draws n1 + n2 training rows when the D-rule or naive Bayes is
-    requested. The T-rule and the oracle read the training samples only
-    through their means, so without those two rules xbar and ybar are drawn
-    directly (``PopulationModel.sample_mean``), exactly in law. Then
-    m1 + m2 test rows.
-    """
-    rng = np.random.default_rng([config.master_seed, rep_index])
-    mu1, mu2 = _means(config, rng)
-    pop1 = PopulationModel(mu1, config.gamma, config.innovation1)
-    pop2 = PopulationModel(mu2, config.gamma, config.innovation2)
-    rules = config.classifiers
-    truth = (mu1, mu2, config.sigma_inv) if "oracle" in rules else None
-
-    try:
-        rows = "d" in rules or "nb" in rules
-        if rows:
-            X = pop1.sample(config.n1, rng)
-            Y = pop2.sample(config.n2, rng)
-        else:
-            stats = classify.TrainedStats(pop1.sample_mean(config.n1, rng),
-                                          pop2.sample_mean(config.n2, rng),
-                                          config.n1, config.n2)
-        Z = np.vstack([pop1.sample(config.test1, rng),
-                       pop2.sample(config.test2, rng)])
-        scores = (rule_statistics(rules, X, Y, Z, truth) if rows
-                  else fitted_rule_statistics(rules, stats, Z, truth))
-    except NumericalError as exc:
-        raise type(exc)(f"replication {rep_index}: {exc}") from exc
-    return {clf: (int(np.sum(s[:config.test1] > 0)),
-                  int(np.sum(s[config.test1:] <= 0)))
-            for clf, s in scores.items()}
+    """A replication from sampled rows; any config."""
+    return _replicate(config, rep_index, _row_training, _row_test)
 
 
 def reduced_replication(config: ExperimentConfig, rep_index: int
                         ) -> dict[str, tuple[int, int]]:
-    """A replication drawn from its sufficient statistics, exact in law.
+    """A replication without rows; normal innovations and n1 = n2 only."""
+    return _replicate(config, rep_index, _reduced_training, _projected_test)
 
-    For normal innovations and n1 = n2 only (``config.sampler``). The
-    rules see the training samples only through xbar ~ N(mu1, Sigma/n1),
-    ybar ~ N(mu2, Sigma/n2) and, for the D-rule and naive Bayes, the
-    pooled scatter A = Gamma W Gamma, W ~ W_p(I, n1 + n2 - 2). Naive Bayes
-    reads all of diag A, so with it W = T T' is drawn whole, T from
-    Bartlett's decomposition. Without it the D-rule reads A only through
-    A^-1 (xbar - ybar), which ``whitened_solve`` draws from an at most
-    4 x 4 Wishart, from the whitened means Gamma^-1 xbar and
-    Gamma^-1 ybar. Each rule's statistic is then c + w'z, and
-    ``draw_test_statistics`` draws both test groups' statistics directly.
-    """
+
+def _replicate(config: ExperimentConfig, rep_index: int, training, test
+               ) -> dict[str, tuple[int, int]]:
+    """The replication body. ``training(config, mu, rng)`` returns (stats,
+    naive Bayes' pooled variances, the D-rule's A^-1 (xbar - ybar)), each
+    None if not drawn, and ``test(config, mu, truth, trained, rng)`` the
+    m1 + m2 test points' statistics, one column per rule."""
     rng = np.random.default_rng([config.master_seed, rep_index])
-    mu1, mu2 = _means(config, rng)
+    mu2 = config.fixed_mu2
+    if mu2 is None:
+        mu2 = make_scenario_means(config.scenario, config.p, rng,
+                                  config.mean_scale)
+    mu = (np.zeros(config.p), mu2)
+    truth = (*mu, config.sigma_inv) if "oracle" in config.classifiers else None
+    try:
+        scores = test(config, mu, truth, training(config, mu, rng), rng)
+    except NumericalError as exc:
+        raise type(exc)(f"replication {rep_index}: {exc}") from exc
+    m1 = config.test1
+    mis1 = (scores[:m1] > 0).sum(axis=0).tolist()
+    mis2 = (scores[m1:] <= 0).sum(axis=0).tolist()
+    return dict(zip(dict.fromkeys(config.classifiers), zip(mis1, mis2)))
+
+
+def _populations(config: ExperimentConfig, mu) -> tuple:
+    return tuple(PopulationModel(m, config.gamma, innovation) for m, innovation
+                 in zip(mu, (config.innovation1, config.innovation2)))
+
+
+def _row_training(config: ExperimentConfig, mu, rng) -> tuple:
+    """n1 + n2 fitted rows for the D-rule or naive Bayes; the T-rule and
+    the oracle read only xbar and ybar, which are then drawn directly
+    (``PopulationModel.sample_mean``), exactly in law."""
+    pop1, pop2 = _populations(config, mu)
+    rules = config.classifiers
+    if "d" in rules or "nb" in rules:
+        return (*fit_rows(rules, pop1.sample(config.n1, rng),
+                          pop2.sample(config.n2, rng)), None)
+    return classify.TrainedStats(pop1.sample_mean(config.n1, rng),
+                                 pop2.sample_mean(config.n2, rng),
+                                 config.n1, config.n2), None, None
+
+
+def _row_test(config: ExperimentConfig, mu, truth, trained, rng
+              ) -> np.ndarray:
+    """m1 + m2 test rows, scored by ``fitted_rule_statistics``."""
+    stats, pooled_variances, _ = trained
+    pop1, pop2 = _populations(config, mu)
+    Z = np.vstack([pop1.sample(config.test1, rng),
+                   pop2.sample(config.test2, rng)])
+    return np.column_stack(list(fitted_rule_statistics(
+        config.classifiers, stats, Z, truth, pooled_variances).values()))
+
+
+def _reduced_training(config: ExperimentConfig, mu, rng) -> tuple:
+    """The training draw from its sufficient statistics, exactly in law
+    for normal innovations: xbar ~ N(mu1, Sigma/n1), ybar ~ N(mu2, Sigma/n2)
+    and, for the D-rule and naive Bayes, the pooled scatter A = Gamma W
+    Gamma, W ~ W_p(I, n1 + n2 - 2). Naive Bayes reads all of diag A, so
+    with it W = T T' is drawn whole, T from Bartlett's decomposition.
+    Without it the D-rule reads A only through u = A^-1 (xbar - ybar),
+    which ``whitened_solve`` draws from an at most 4 x 4 Wishart."""
     gamma, p, rules = config.gamma, config.p, config.classifiers
     z1, z2 = rng.standard_normal((2, p))
     stats = classify.TrainedStats(
-        mu1 + gamma.mix(z1) / math.sqrt(config.n1),
-        mu2 + gamma.mix(z2) / math.sqrt(config.n2), config.n1, config.n2)
-    solve = pooled_variances = None
+        mu[0] + gamma.mix(z1) / math.sqrt(config.n1),
+        mu[1] + gamma.mix(z2) / math.sqrt(config.n2), config.n1, config.n2)
+    pooled_variances = direction = None
     dof = config.n1 + config.n2 - 2
-    try:
-        if "nb" in rules:
-            T = bartlett_factor(p, dof, rng)
-            pooled_variances = np.sum(gamma.mix(T) ** 2, axis=1) / dof
-            if "d" in rules:
-                solve = classify.whitened_scatter_solver(T, gamma)
-        elif "d" in rules:
-            # the whitened means Gamma^-1 xbar (mu1 = 0) and Gamma^-1 ybar,
-            # and e = Gamma^-1 (xbar - ybar), whose solve the D-rule reads
-            white_mu2 = config.white_fixed_mu2
-            if white_mu2 is None:  # mu2 is redrawn in each replication
-                white_mu2 = gamma.unmix(mu2)
-            white_x = z1 / math.sqrt(config.n1)
-            white_y = white_mu2 + z2 / math.sqrt(config.n2)
-            e = white_x - white_y
-            # u = A^-1 (xbar - ybar) is read through m'u and mu2'u, and
-            # through Gamma u in the QR of the rules' Gamma w: its norm and
-            # its products with Gamma (xbar - ybar) for T and with the
-            # oracle's Gamma Sigma^-1 (mu1 - mu2) = -Gamma^-1 mu2
-            reads = [(white_x + white_y) / 2.0, white_mu2]
-            if "t" in rules:
-                reads.append(gamma.mix(stats.mean_x - stats.mean_y))
+    if "nb" in rules:
+        T = bartlett_factor(p, dof, rng)
+        pooled_variances = np.sum(gamma.mix(T) ** 2, axis=1) / dof
+        if "d" in rules:
+            direction = classify.whitened_scatter_solver(T, gamma)(
+                stats.mean_x - stats.mean_y)
+    elif "d" in rules:
+        # the whitened means Gamma^-1 xbar (mu1 = 0) and Gamma^-1 ybar,
+        # whose difference Gamma^-1 (xbar - ybar) the D-rule's solve reads
+        white_mu2 = config.white_fixed_mu2
+        if white_mu2 is None:  # mu2 is redrawn in each replication
+            white_mu2 = gamma.unmix(mu[1])
+        white_x = z1 / math.sqrt(config.n1)
+        white_y = white_mu2 + z2 / math.sqrt(config.n2)
+        # u = A^-1 (xbar - ybar) is read through m'u and mu2'u, and
+        # through Gamma u in the QR of the rules' Gamma w: its norm and
+        # its products with Gamma (xbar - ybar) for T and with the
+        # oracle's Gamma Sigma^-1 (mu1 - mu2) = -Gamma^-1 mu2
+        reads = [(white_x + white_y) / 2.0, white_mu2]
+        if "t" in rules:
+            reads.append(gamma.mix(stats.mean_x - stats.mean_y))
+        direction = gamma.unmix(whitened_solve(
+            white_x - white_y, np.column_stack(reads), dof, rng))
+    return stats, pooled_variances, direction
 
-            def solve(diff):
-                # linear_forms passes xbar - ybar alone, whose whitened form
-                # is e, so diff itself is not read
-                return gamma.unmix(whitened_solve(e, np.column_stack(reads),
-                                                  dof, rng))
 
-        truth = (mu1, mu2, config.sigma_inv) if "oracle" in rules else None
-        forms = classify.linear_forms(rules, stats, solve, pooled_variances,
-                                      truth)
-    except NumericalError as exc:
-        raise type(exc)(f"replication {rep_index}: {exc}") from exc
-
-    m1 = config.test1
-    s = draw_test_statistics(forms, gamma, [mu1, mu2], [m1, config.test2],
-                             rng)
-    mis1 = (s[:m1] > 0).sum(axis=0).tolist()
-    mis2 = (s[m1:] <= 0).sum(axis=0).tolist()
-    return dict(zip(forms, zip(mis1, mis2)))
+def _projected_test(config: ExperimentConfig, mu, truth, trained, rng
+                    ) -> np.ndarray:
+    """Both test groups' statistics, drawn from the rules' linear forms."""
+    stats, pooled_variances, direction = trained
+    forms = classify.linear_forms(config.classifiers, stats, direction,
+                                  pooled_variances, truth)
+    return draw_test_statistics(forms, config.gamma, mu,
+                                [config.test1, config.test2], rng)
 
 
 def whitened_solve(e, reads, dof: int, rng) -> np.ndarray:
@@ -409,15 +409,20 @@ def draw_test_statistics(forms, gamma: MixingMatrix, mu, m, rng
 
 def rule_statistics(classifiers, X, Y, Z, truth=None
                     ) -> dict[str, np.ndarray]:
-    """Fit once on the groups X and Y; each rule's statistics for rows of Z.
+    """Fit once on the groups X and Y (``fit_rows``); each rule's statistics
+    for rows of Z, <= 0 assigning a row to group 1. ``truth`` is (mu1, mu2,
+    Sigma^-1), read by the oracle only."""
+    stats, pooled_variances = fit_rows(classifiers, X, Y)
+    return fitted_rule_statistics(classifiers, stats, Z, truth,
+                                  pooled_variances)
 
-    A statistic <= 0 assigns its row to group 1. ``truth`` is
-    (mu1, mu2, Sigma^-1), read by the oracle only.
-    """
+
+def fit_rows(classifiers, X, Y) -> tuple:
+    """(stats, pooled variances) fitted once on the groups X and Y; the
+    scatter only for the D-rule, the variances (else None) for naive Bayes."""
     stats = classify.fit(X, Y, need_scatter="d" in classifiers)
-    variances = (pooled_variances_from_data(X, Y) if "nb" in classifiers
-                 else None)
-    return fitted_rule_statistics(classifiers, stats, Z, truth, variances)
+    return stats, (pooled_variances_from_data(X, Y) if "nb" in classifiers
+                   else None)
 
 
 def fitted_rule_statistics(classifiers, stats, Z, truth=None,

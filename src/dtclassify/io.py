@@ -227,12 +227,17 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
+def csv_lines(columns: list[str], rows: list[dict]):
+    """The header, then one line per row: strings as they are, else ``fmt``."""
+    yield ",".join(columns)
+    for row in rows:
+        yield ",".join(row[col] if isinstance(row.get(col), str)
+                       else fmt(row.get(col)) for col in columns)
+
+
 def _write_csv(path: Path, columns: list[str], rows: list[dict]):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(row.get(col)) if not isinstance(
-                row.get(col), str) else row[col] for col in columns) + "\n")
+        fh.writelines(line + "\n" for line in csv_lines(columns, rows))
 
 
 def _innovation_record(spec: InnovationSpec) -> dict:

@@ -143,24 +143,13 @@ def delocalized_scale(scenario: ScenarioSpec, sigma: CovarianceSpec,
     return float(np.sqrt(delta_l2 / beta_squared(sigma)))
 
 
-def make_scenario_means(
-    scenario: ScenarioSpec, sigma: CovarianceSpec, rng: np.random.Generator,
-    scale: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (mu1, mu2) for one replication; mu1 is always zero.
-
-    ``scale`` is ``delocalized_scale(scenario, sigma)`` when the caller has
-    it already; it is computed here otherwise.
-    """
-    p = sigma.p
-    if scenario.n0 > p:
-        raise DomainError(f"n0 = {scenario.n0} exceeds dimension p = {p}")
-    mu1 = np.zeros(p)
+def make_scenario_means(scenario: ScenarioSpec, p: int,
+                        rng: np.random.Generator, scale: float) -> np.ndarray:
+    """Draw mu2 for one replication (mu1 is zero); ``scale`` is the
+    delocalized law's e, from ``delocalized_scale``."""
     if scenario.kind == "localized":
-        return mu1, localized_mu2(scenario.n0, p)
-    e = delocalized_scale(scenario, sigma) if scale is None else scale
-    mu2 = rng.uniform(e / 2.0, 3.0 * e / 2.0, p)
-    return mu1, mu2
+        return localized_mu2(scenario.n0, p)
+    return rng.uniform(scale / 2.0, 3.0 * scale / 2.0, p)
 
 
 def bartlett_factor(p: int, dof: int, rng: np.random.Generator

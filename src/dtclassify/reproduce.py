@@ -189,6 +189,10 @@ def reproduce(target: str, scale: float = 1.0, table_reps: int | None = None,
     if target in ("table1", "table2", "table3", "table4"):
         reps = _scaled_reps(TABLE_DEFAULT_REPS if table_reps is None
                             else table_reps, scale)
+    elif table_reps is not None:
+        raise DomainError(f"--reps applies to the tables only; {target} runs "
+                          f"{FIGURE_DEFAULT_REPS} x scale replications, so "
+                          "set --scale")
     else:
         reps = _scaled_reps(FIGURE_DEFAULT_REPS, scale)
     if target in CORR_TABLES:

@@ -75,6 +75,15 @@ class TestSimulate:
         assert code == 1
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        config = write(tmp_path, SMALL.replace("seed = 5", "seed = -3"))
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: seed must be >= 0, got -3")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_key_exits_one(self, tmp_path, capsys):
         config = write(tmp_path, SMALL + "\n[experiment]\n")
         # duplicate section is a parse error
@@ -214,6 +223,29 @@ class TestReproduce:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("rho,")
         assert len(lines) == 11
+
+    def test_stdout_is_the_csv_file(self, tmp_path, capsys):
+        args = ["reproduce", "table4", "--reps", "50"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'table4.csv'}\n"
+        assert (tmp_path / "table4.csv").read_bytes() == printed.encode()
+
+    def test_negative_seed_exits_one(self, capsys):
+        code = main(["reproduce", "table4", "--reps", "50", "--seed", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0, got -1")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["fig1", "fig2", "fig5"])
+    def test_reps_rejected_for_figures(self, target, capsys):
+        code = main(["reproduce", target, "--reps", "50"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --reps applies to the tables only")
+        assert "--scale" in err
 
 
 class TestModuleEntryPoint:

@@ -79,6 +79,18 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             small_config(mu2_override=np.ones(3))
 
+    def test_n0_larger_than_p_rejected(self):
+        with pytest.raises(DomainError, match="n0 exceeds p"):
+            small_config(scenario=ScenarioSpec("localized", 20))
+        with pytest.raises(DomainError, match="n0 exceeds p"):
+            small_config(scenario=ScenarioSpec("delocalized", 11))
+        assert small_config(scenario=ScenarioSpec("localized", 10)).p == 10
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            small_config(master_seed=-1)
+        assert small_config(master_seed=0).master_seed == 0
+
     def test_test_sizes_default_to_training_sizes(self):
         config = small_config(n1=20, n2=30)
         assert config.test1 == 20 and config.test2 == 30

@@ -76,6 +76,12 @@ class TestScenarios:
     def test_localized_pattern(self):
         mu2 = localized_mu2(3, 6)
         assert np.array_equal(mu2, [1, 1, 1, 0, 0, 0])
+        # the localized scenario's mu2 is fixed: no draw, no scale read
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert np.array_equal(make_scenario_means(
+            ScenarioSpec("localized", 3), 6, rng, float("nan")), mu2)
+        assert rng.bit_generator.state == state
 
     def test_localized_distance_identity(self):
         assert localized_distance(10, CovarianceSpec.identity(125)) == \
@@ -86,12 +92,6 @@ class TestScenarios:
             ScenarioSpec("sparse", 10)
         with pytest.raises(DomainError):
             ScenarioSpec("localized", 0)
-
-    def test_n0_larger_than_p_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(DomainError):
-            make_scenario_means(ScenarioSpec("localized", 20),
-                                CovarianceSpec.identity(10), rng)
 
     def test_delocalized_scale_identity(self):
         # e = sqrt(Delta_L^2 / beta^2) = sqrt(10 / (13 p / 12))
@@ -108,13 +108,12 @@ class TestScenarios:
         spec = CovarianceSpec.identity(125)
         e = delocalized_scale(ScenarioSpec("delocalized", 10), spec)
         rng = np.random.default_rng(13)
-        mu1, mu2 = make_scenario_means(ScenarioSpec("delocalized", 10),
-                                       spec, rng)
-        assert np.array_equal(mu1, np.zeros(125))
+        mu2 = make_scenario_means(ScenarioSpec("delocalized", 10), 125, rng,
+                                  e)
+        assert mu2.shape == (125,)
         assert np.all(mu2 > e / 2) and np.all(mu2 < 3 * e / 2)
-        # a scale passed in draws the same stream as one computed inside
-        _, again = make_scenario_means(ScenarioSpec("delocalized", 10), spec,
-                                       np.random.default_rng(13), e)
+        # the stream is p uniforms on (e/2, 3e/2), drawn at once
+        again = np.random.default_rng(13).uniform(e / 2, 3 * e / 2, 125)
         assert np.array_equal(again, mu2)
 
     @pytest.mark.parametrize("spec", [
@@ -126,9 +125,10 @@ class TestScenarios:
         scenario = ScenarioSpec("delocalized", 10)
         inv = inverse_covariance(spec)
         rng = np.random.default_rng(14)
+        e = delocalized_scale(scenario, spec)
         quads = []
         for _ in range(5000):
-            _, mu2 = make_scenario_means(scenario, spec, rng)
+            mu2 = make_scenario_means(scenario, spec.p, rng, e)
             quads.append(mu2 @ inv @ mu2)
         target = localized_distance(10, spec)
         assert np.mean(quads) == pytest.approx(target, rel=0.02)

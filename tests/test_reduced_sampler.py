@@ -233,6 +233,52 @@ class TestGoldenCounts:
                 for r in range(config.reps)] == expected
 
 
+class TestRowGoldenCounts:
+    """Per-replication counts of the row sampler, pinned at commit 7ce2cb5.
+
+    The cases are unequal group sizes with every rule (equal correlation,
+    a redrawn delocalized mean), Student-t innovations with n1 = n2 (the
+    path of reproduce table2), gamma innovations with the T-rule alone
+    (training means drawn directly) and T with the oracle at n1 != n2.
+    """
+
+    T7 = InnovationSpec("student_t", df=7)
+    GAMMA = InnovationSpec("gamma_shifted")
+    CASES = {
+        "unequal_sizes": (
+            dict(n2=16, covariance=CovarianceSpec.equal_corr(8, 0.4),
+                 scenario=ScenarioSpec("delocalized", 3)),
+            [{"d": (5, 5), "t": (5, 6), "nb": (5, 6), "oracle": (5, 1)},
+             {"d": (5, 3), "t": (4, 2), "nb": (4, 3), "oracle": (3, 1)},
+             {"d": (4, 3), "t": (2, 1), "nb": (2, 1), "oracle": (1, 1)},
+             {"d": (7, 4), "t": (5, 2), "nb": (5, 2), "oracle": (4, 3)}]),
+        "student_t": (
+            dict(covariance=CovarianceSpec.equal_corr(8, 0.4),
+                 innovation1=T7, innovation2=T7),
+            [{"d": (4, 7), "t": (2, 4), "nb": (3, 6), "oracle": (1, 4)},
+             {"d": (9, 2), "t": (7, 1), "nb": (7, 2), "oracle": (6, 2)},
+             {"d": (3, 6), "t": (11, 2), "nb": (10, 1), "oracle": (6, 2)},
+             {"d": (9, 0), "t": (8, 1), "nb": (9, 1), "oracle": (5, 1)}]),
+        "gamma_t": (
+            dict(classifiers=("t",), innovation1=GAMMA, innovation2=GAMMA),
+            [{"t": (1, 1)}, {"t": (4, 2)}, {"t": (0, 11)}, {"t": (6, 7)}]),
+        "t_oracle": (
+            dict(n2=16, classifiers=("t", "oracle")),
+            [{"t": (4, 7), "oracle": (5, 5)}, {"t": (3, 4), "oracle": (4, 4)},
+             {"t": (2, 4), "oracle": (3, 4)}, {"t": (5, 3), "oracle": (1, 3)}]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_counts_unchanged(self, case):
+        overrides, expected = self.CASES[case]
+        config = config_of(reps=len(expected), **overrides)
+        assert config.sampler == "rows"
+        assert [harness.row_replication(config, r)
+                for r in range(config.reps)] == expected
+        assert [harness.run_replication(config, r)
+                for r in range(config.reps)] == expected
+
+
 class TestLinearForms:
     @pytest.fixture
     def data(self):
@@ -249,7 +295,7 @@ class TestLinearForms:
         sigma_inv = np.linalg.inv(build_covariance(CovarianceSpec.ar1(5, 0.4)))
         A = classify.pooled_scatter(X, Y)
         forms = classify.linear_forms(
-            RULES, stats, lambda v: np.linalg.solve(A, v),
+            RULES, stats, np.linalg.solve(A, stats.mean_x - stats.mean_y),
             pooled_variances_from_data(X, Y), (mu1, mu2, sigma_inv))
         direct = {
             "d": classify.d_statistics(stats, Z),
