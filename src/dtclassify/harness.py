@@ -20,12 +20,14 @@ every replication in the process and by the theory overlay.
 Every replication runs on one BLAS thread: its matrices are small
 (p <= 500), so OpenBLAS threads cost more than they save, and with
 ``workers > 1`` they would compete with the pool for the same cores.
-Parallelism comes from the workers alone. A series of experiments, such
-as a reproduction grid, can share one ``worker_pool``, so that its
-processes start once and not once per experiment. It queues the whole
-series on entry, so no process waits for the next experiment, and keeps
-the caller on one BLAS thread throughout: a thread count restored between
-experiments would start OpenBLAS threads that spin next to the workers.
+Parallelism comes from the workers alone. ``worker_pool(workers,
+configs)`` is where a series of experiments, such as a reproduction grid,
+is scheduled: it sizes the pool, keeps the caller on one BLAS thread until
+its processes are joined (a thread count restored between experiments
+would start OpenBLAS threads that spin next to the workers), and queues
+the whole series on entry, so no process waits for the next experiment.
+``run_experiment`` collects one config's replications from such a pool,
+or from a pool of its own when it is given none.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -115,11 +117,18 @@ class ExperimentConfig:
                            ("m1", self.test1), ("m2", self.test2)):
             if size < 2:
                 raise DomainError(f"{name} must be >= 2, got {size}")
+        if self.reps < 1:
+            raise DomainError(f"reps must be >= 1, got {self.reps}")
         unknown = set(self.classifiers) - set(CLASSIFIER_IDS)
         if unknown:
             raise DomainError(f"unknown classifier id(s): {sorted(unknown)}")
         if not self.classifiers:
             raise DomainError("at least one classifier is required")
+        repeated = {c for c in self.classifiers
+                    if self.classifiers.count(c) > 1}
+        if repeated:
+            raise DomainError(
+                f"classifier id(s) listed more than once: {sorted(repeated)}")
         if "d" in self.classifiers and self.p >= self.n1 + self.n2 - 2:
             raise SingularityError(
                 f"the D-criterion needs p < n1+n2-2; got p = {self.p}, "
@@ -193,8 +202,7 @@ class ExperimentConfig:
     @cached_property
     def mean_scale(self) -> float:
         """The scale e of the delocalized uniform law of mu2."""
-        return delocalized_scale(self.scenario, self.covariance,
-                                 self.localized_delta2)
+        return delocalized_scale(self.covariance, self.localized_delta2)
 
     @cached_property
     def localized_delta2(self) -> float:
@@ -270,7 +278,7 @@ def _replicate(config: ExperimentConfig, rep_index: int, training, test
     m1 = config.test1
     mis1 = (scores[:m1] > 0).sum(axis=0).tolist()
     mis2 = (scores[m1:] <= 0).sum(axis=0).tolist()
-    return dict(zip(dict.fromkeys(config.classifiers), zip(mis1, mis2)))
+    return dict(zip(config.classifiers, zip(mis1, mis2)))
 
 
 def _populations(config: ExperimentConfig, mu) -> tuple:
@@ -459,89 +467,75 @@ def _run_chunk(args) -> list[dict[str, tuple[int, int]]]:
 
 
 class WorkerPool:
-    """Processes and the replication chunks queued on them, per config."""
+    """Every replication chunk of a series of configs, queued on entry.
 
-    def __init__(self, executor, size: int, configs=()):
-        self.executor = executor
-        self.size = size
-        # keyed by id; each entry holds its config, so the id stays its own
-        self.queued = {id(c): (c, self._submit(c)) for c in configs}
+    ``queued`` maps id(config) to its config; each entry becomes (config,
+    one call per chunk that returns the chunk's counts), and keeps the
+    config until its counts are collected, so the id stays its own. With
+    ``executor`` the chunks go to its processes at once; without one, a
+    config's replications run inline when its counts are asked for.
+    """
 
-    def _submit(self, config: ExperimentConfig) -> list:
-        size = min(self.size, config.reps)
-        # contiguous chunks, so their results come in replication order
-        return [self.executor.submit(_run_chunk, (config, range(
-            config.reps * i // size, config.reps * (i + 1) // size)))
-            for i in range(size)]
+    def __init__(self, queued: dict, size: int, executor=None):
+        for key, config in queued.items():
+            count = min(size, config.reps)
+            # contiguous chunks, so their results come in replication order
+            args = [(config, range(config.reps * i // count,
+                                   config.reps * (i + 1) // count))
+                    for i in range(count)]
+            queued[key] = (config, [
+                executor.submit(_run_chunk, arg).result if executor
+                else partial(_run_chunk, arg) for arg in args])
+        self.queued = queued
 
     def counts(self, config: ExperimentConfig
                ) -> list[dict[str, tuple[int, int]]]:
-        """The replications' counts of ``config``, queued on entry or now."""
-        queued = self.queued.pop(id(config), None)
-        futures = queued[1] if queued else self._submit(config)
-        return [row for future in futures for row in future.result()]
+        """The replications' counts of ``config``, which must be queued."""
+        _, chunks = self.queued.pop(id(config))
+        return [row for chunk in chunks for row in chunk()]
 
 
 @contextmanager
-def _one_blas_thread():
-    """OpenBLAS on one thread in the caller for the block, then as before."""
-    previous = _pin_one_blas_thread()
-    try:
-        yield
-    finally:
-        if previous != 1:
-            lapack.set_blas_threads(previous)
+def worker_pool(workers: int, configs):
+    """The pool that runs ``configs``, each collected by ``run_experiment``.
 
-
-@contextmanager
-def worker_pool(workers: int, configs=()):
-    """Processes for a series of ``run_experiment`` calls; None at one worker.
-
-    Pass the pool to each call. It holds at most one process per CPU and
-    queues every chunk of ``configs`` on entry; an error cancels the
-    chunks not yet started. The caller runs OpenBLAS on one thread until
-    the processes are joined, also at one worker.
+    It holds min(workers, CPUs, the largest reps) processes, forked only
+    when that is more than one, and queues every chunk of ``configs`` on
+    entry; an error cancels the chunks not yet started. The caller runs
+    OpenBLAS on one thread until the processes are joined.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    size = min(workers, os.cpu_count() or 1)
-    with _one_blas_thread():
+    queued = {id(config): config for config in configs}
+    size = min(workers, os.cpu_count() or 1,
+               max((config.reps for config in queued.values()), default=1))
+    previous = _pin_one_blas_thread()
+    try:
         if size == 1:
-            yield None
+            yield WorkerPool(queued, size)
             return
         with ProcessPoolExecutor(max_workers=size,
                                  initializer=_pin_one_blas_thread) as executor:
             try:
-                yield WorkerPool(executor, size, configs)
+                yield WorkerPool(queued, size, executor)
             except BaseException:
                 executor.shutdown(cancel_futures=True)
                 raise
+    finally:
+        if previous != 1:
+            lapack.set_blas_threads(previous)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1, pool=None
                    ) -> ExperimentResult:
     """Run all replications and aggregate medians / standard errors.
 
-    The replications are split over at most one process per replication
-    and per CPU: in ``pool`` (from ``worker_pool``) if given, which may
-    have queued them already, else in a pool of their own. Runs with
-    OpenBLAS on one thread and restores the caller's thread count on
-    return or on error; inside ``worker_pool`` it is one already.
+    They are collected from ``pool`` (from ``worker_pool``, which queued
+    them) if given, else from ``worker_pool(workers, [config])``.
     """
-    if config.reps < 1:
-        raise DomainError("reps must be >= 1")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-    size = min(workers, config.reps, os.cpu_count() or 1)
-    with _one_blas_thread():
-        if pool is not None:
-            counts = pool.counts(config)
-        elif size == 1:
-            counts = _run_chunk((config, range(config.reps)))
-        else:
-            with worker_pool(size) as own:
-                counts = own.counts(config)
-        return _aggregate(config, counts)
+    own = worker_pool(workers, [config]) if pool is None else nullcontext(pool)
+    with own as pool:
+        return _aggregate(config, pool.counts(config))
 
 
 def _aggregate(config: ExperimentConfig, counts) -> ExperimentResult:

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lapack
-from .covariance import (
-    CovarianceSpec,
-    MixingMatrix,
-    beta_squared,
-    mahalanobis,
-)
+from .covariance import CovarianceSpec, MixingMatrix, beta_squared
 from .errors import CalibrationError, DomainError
 
 INNOVATION_KINDS = ("normal", "student_t", "gamma_shifted")
@@ -121,25 +116,14 @@ def localized_mu2(n0: int, p: int) -> np.ndarray:
     return mu2
 
 
-def localized_distance(n0: int, sigma: CovarianceSpec) -> float:
-    """Mahalanobis distance of the localized mean difference."""
-    return mahalanobis(localized_mu2(n0, sigma.p), sigma)
-
-
-def delocalized_scale(scenario: ScenarioSpec, sigma: CovarianceSpec,
-                      delta_l2: float | None = None) -> float:
-    """The uniform-law scale e = Delta_L / beta.
-
-    ``delta_l2`` is ``localized_distance(scenario.n0, sigma)`` when the
-    caller has it already; it is computed here otherwise.
-    """
+def delocalized_scale(sigma: CovarianceSpec, delta_l2: float) -> float:
+    """The uniform-law scale e = Delta_L / beta, from the localized mean
+    difference's Mahalanobis distance ``delta_l2``."""
     if sigma.kind not in ("identity", "equal_corr", "ar1"):
         raise CalibrationError(
             f"delocalized calibration is not defined for covariance kind "
             f"{sigma.kind!r}"
         )
-    if delta_l2 is None:
-        delta_l2 = localized_distance(scenario.n0, sigma)
     return float(np.sqrt(delta_l2 / beta_squared(sigma)))
 
 

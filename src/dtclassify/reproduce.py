@@ -206,7 +206,7 @@ def reproduce(target: str, scale: float = 1.0, table_reps: int | None = None,
     with worker_pool(workers, (config for config, _ in grid)) as pool:
         while grid:
             config, row = grid.pop(0)
-            result = run_experiment(config, workers, pool)
+            result = run_experiment(config, pool=pool)
             report.rows.append(row(config, result))
     return report
 

@@ -84,6 +84,23 @@ class TestSimulate:
             "error: seed must be >= 0, got -3")
         assert not (tmp_path / "out").exists()
 
+    def test_zero_reps_exits_one(self, tmp_path, capsys):
+        config = write(tmp_path, SMALL.replace("reps = 20", "reps = 0"))
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "reps must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_classifier_exits_one(self, tmp_path, capsys):
+        config = write(tmp_path,
+                       SMALL + "\n[classifiers]\nlist = t,t,oracle\n")
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "more than once: ['t']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_key_exits_one(self, tmp_path, capsys):
         config = write(tmp_path, SMALL + "\n[experiment]\n")
         # duplicate section is a parse error

@@ -71,6 +71,15 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             small_config(classifiers=("d", "knn"))
 
+    def test_repeated_classifier_rejected(self):
+        with pytest.raises(DomainError, match=r"more than once: \['t'\]"):
+            small_config(classifiers=("t", "t", "oracle"))
+
+    def test_reps_must_be_at_least_one(self):
+        with pytest.raises(DomainError, match="reps must be >= 1, got 0"):
+            small_config(reps=0)
+        assert small_config(reps=1).reps == 1
+
     def test_covariance_dimension_mismatch(self):
         with pytest.raises(DomainError):
             small_config(p=11)
@@ -261,9 +270,8 @@ class TestReplications:
         serial = [run_experiment(c) for c in configs]
         fake_pool.install()
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-        with harness.worker_pool(3) as pool:
-            pooled = [run_experiment(c, workers=3, pool=pool)
-                      for c in configs]
+        with harness.worker_pool(3, configs) as pool:
+            pooled = [run_experiment(c, pool=pool) for c in configs]
         assert fake_pool.sizes == [3]
         for a, b in zip(serial, pooled):
             for clf in a.classifiers:
@@ -286,9 +294,9 @@ class TestReplications:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         real, seen = reproduce_module.run_experiment, []
 
-        def collect(config, workers, pool):
+        def collect(config, pool):
             seen.append((config.covariance.rho, len(fake_pool.submitted)))
-            return real(config, workers, pool)
+            return real(config, pool=pool)
 
         monkeypatch.setattr(reproduce_module, "run_experiment", collect)
         reproduce("table1", table_reps=50, workers=2)
@@ -308,25 +316,39 @@ class TestReplications:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         real, refs, alive = reproduce_module.run_experiment, [], []
 
-        def collect(config, workers, pool):
+        def collect(config, pool):
             fake_pool.submitted.clear()  # the fake's record holds configs
             alive.append(sum(ref() is not None for ref in refs[:-1]))
             refs.append(weakref.ref(config))
-            return real(config, workers, pool)
+            return real(config, pool=pool)
 
         monkeypatch.setattr(reproduce_module, "run_experiment", collect)
         reproduce("table4", table_reps=50, workers=workers)
         assert len(refs) == 9 and alive == [0] * 9
 
-    def test_single_worker_pool_is_none(self, fake_pool):
+    def test_single_worker_pool_runs_inline(self, fake_pool, monkeypatch):
+        # no executor at one process; each config's replications run when
+        # its counts are collected, and equal those of a pool of three
+        configs = [small_config(reps=5, master_seed=s) for s in (1, 2, 3)]
         fake_pool.install()
-        with harness.worker_pool(1) as pool:
-            assert pool is None
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        ran = []
+        real = harness._run_chunk
+        monkeypatch.setattr(harness, "_run_chunk",
+                            lambda args: ran.append(args) or real(args))
+        with harness.worker_pool(1, configs) as pool:
+            assert ran == []
+            inline = [pool.counts(c) for c in configs]
         assert fake_pool.sizes == []
+        assert ran == [(c, range(5)) for c in configs]
+        with harness.worker_pool(3, configs) as pool:
+            pooled = [pool.counts(c) for c in configs]
+        assert fake_pool.sizes == [3]
+        assert inline == pooled
 
     def test_pool_below_one_worker_rejected(self):
         with pytest.raises(DomainError, match="workers"):
-            with harness.worker_pool(0):
+            with harness.worker_pool(0, [small_config()]):
                 pass
 
     def test_pooled_variances_helper(self):
@@ -401,7 +423,8 @@ class TestConfigMembers:
         config = small_config(
             scenario=ScenarioSpec("delocalized", 5, redraw_mu2=False))
         rng = np.random.default_rng([42, harness.FIXED_MU_STREAM])
-        e = harness.delocalized_scale(config.scenario, config.covariance)
+        e = harness.delocalized_scale(config.covariance,
+                                      config.localized_delta2)
         assert np.array_equal(config.fixed_mu2,
                               rng.uniform(e / 2.0, 3.0 * e / 2.0, 10))
         assert config.fixed_delta is None
@@ -491,9 +514,9 @@ class TestBlasThreads:
 
         real_run = reproduce_module.run_experiment
 
-        def logged_run(*args):
+        def logged_run(*args, **kwargs):
             events.append("point")
-            return real_run(*args)
+            return real_run(*args, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Logged)
         monkeypatch.setattr(lapack, "set_blas_threads", logged_set)

@@ -5,15 +5,23 @@ import pytest
 
 from dtclassify.covariance import CovarianceSpec, MixingMatrix, inverse_covariance
 from dtclassify.errors import CalibrationError, DomainError
+from dtclassify.harness import ExperimentConfig
 from dtclassify.model import (
     InnovationSpec,
     PopulationModel,
     ScenarioSpec,
     delocalized_scale,
-    localized_distance,
     localized_mu2,
     make_scenario_means,
 )
+
+
+def localized_delta2(spec) -> float:
+    """Delta_L^2 of the localized mean difference (n0 = 10), as a config
+    derives it."""
+    return ExperimentConfig(p=spec.p, n1=2, n2=2, covariance=spec,
+                            scenario=ScenarioSpec("delocalized", 10),
+                            classifiers=("t",)).localized_delta2
 
 
 class TestInnovationSpec:
@@ -84,7 +92,7 @@ class TestScenarios:
         assert rng.bit_generator.state == state
 
     def test_localized_distance_identity(self):
-        assert localized_distance(10, CovarianceSpec.identity(125)) == \
+        assert localized_delta2(CovarianceSpec.identity(125)) == \
             pytest.approx(10.0)
 
     def test_scenario_validation(self):
@@ -96,17 +104,16 @@ class TestScenarios:
     def test_delocalized_scale_identity(self):
         # e = sqrt(Delta_L^2 / beta^2) = sqrt(10 / (13 p / 12))
         spec = CovarianceSpec.identity(125)
-        e = delocalized_scale(ScenarioSpec("delocalized", 10), spec)
+        e = delocalized_scale(spec, localized_delta2(spec))
         assert e == pytest.approx(np.sqrt(10.0 * 12.0 / (13.0 * 125.0)))
 
     def test_delocalized_needs_calibrated_structure(self):
         with pytest.raises(CalibrationError):
-            delocalized_scale(ScenarioSpec("delocalized", 10),
-                              CovarianceSpec.diagonal([1.0, 2.0]))
+            delocalized_scale(CovarianceSpec.diagonal([1.0, 2.0]), 1.0)
 
     def test_delocalized_entries_in_support(self):
         spec = CovarianceSpec.identity(125)
-        e = delocalized_scale(ScenarioSpec("delocalized", 10), spec)
+        e = delocalized_scale(spec, localized_delta2(spec))
         rng = np.random.default_rng(13)
         mu2 = make_scenario_means(ScenarioSpec("delocalized", 10), 125, rng,
                                   e)
@@ -125,12 +132,12 @@ class TestScenarios:
         scenario = ScenarioSpec("delocalized", 10)
         inv = inverse_covariance(spec)
         rng = np.random.default_rng(14)
-        e = delocalized_scale(scenario, spec)
+        target = localized_delta2(spec)
+        e = delocalized_scale(spec, target)
         quads = []
         for _ in range(5000):
             mu2 = make_scenario_means(scenario, spec.p, rng, e)
             quads.append(mu2 @ inv @ mu2)
-        target = localized_distance(10, spec)
         assert np.mean(quads) == pytest.approx(target, rel=0.02)
 
 

@@ -15,6 +15,7 @@ import pytest
 from dtclassify import harness
 from dtclassify.covariance import CovarianceSpec
 from dtclassify.model import ScenarioSpec
+from dtclassify.reproduce import reproduce
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -99,3 +100,15 @@ def test_reduced_stages_can_be_traced_inside_each_replication():
         assert calls == config.reps
         parents = {spans[s[3]][0] for s in spans if s[0] == name}
         assert parents == {"harness.replication"}
+
+
+def test_traced_reproduce_records_one_experiment_per_grid_point():
+    # the benchmark's pool figures time only run_experiment, which
+    # reproduce must call once per grid point through the binding the
+    # tracer patches
+    experiment_only = tuple(layer for layer in tracing.LAYERS
+                            if layer[0] == "harness.experiment")
+    with tracing.Tracer(experiment_only, ()) as tracer:
+        report = reproduce("table4", table_reps=50)
+    assert len(report.rows) == 9
+    assert [span[0] for span in tracer.spans] == ["harness.experiment"] * 9
