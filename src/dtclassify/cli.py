@@ -27,6 +27,7 @@ from .harness import (
 from .data import ingest_csv
 from .reproduce import TARGETS, reproduce
 from .theory import (
+    FULL_VARIANCE_KINDS,
     TheoryInputsD,
     normal_cdf,
     t_misclass,
@@ -136,8 +137,8 @@ def _cmd_theory_t(args) -> int:
     variants = (("v1", "v2", "v3", "full") if args.variant == "all"
                 else (args.variant,))
     for variant in variants:
-        if variant == "full" and config.covariance.kind not in (
-                "identity", "diagonal"):
+        if variant == "full" and config.covariance.kind not in \
+                FULL_VARIANCE_KINDS:
             print("full: requires a diagonal covariance; skipped")
             continue
         var = t_variance(inputs, variant)

@@ -46,6 +46,12 @@ class CovarianceSpec:
             raise DomainError(f"unknown covariance kind {self.kind!r}")
         if self.p < 1:
             raise DomainError(f"dimension p must be >= 1, got {self.p}")
+        if self.rho is not None and self.kind not in ("equal_corr", "ar1"):
+            raise DomainError(
+                f"rho only applies to equal_corr and ar1, not {self.kind}")
+        if self.sigmas is not None and self.kind != "diagonal":
+            raise DomainError(
+                f"sigmas only applies to diagonal, not {self.kind}")
         if self.kind == "equal_corr":
             lo = -1.0 / (self.p - 1) if self.p > 1 else -1.0
             if self.rho is None or not (lo < self.rho < 1.0):
@@ -59,7 +65,8 @@ class CovarianceSpec:
             sig = np.asarray(self.sigmas, dtype=float)
             if sig.shape != (self.p,) or not np.all(sig > 0):
                 raise DomainError(
-                    "diagonal requires a length-p vector of positive entries"
+                    f"diagonal requires a vector of p = {self.p} positive "
+                    f"sigmas, got {self.sigmas}"
                 )
             object.__setattr__(self, "sigmas", sig)
 

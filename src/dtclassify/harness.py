@@ -121,7 +121,8 @@ class ExperimentConfig:
             raise DomainError(f"reps must be >= 1, got {self.reps}")
         unknown = set(self.classifiers) - set(CLASSIFIER_IDS)
         if unknown:
-            raise DomainError(f"unknown classifier id(s): {sorted(unknown)}")
+            raise DomainError(f"unknown classifier id(s) {sorted(unknown)}; "
+                              f"valid ids are {CLASSIFIER_IDS}")
         if not self.classifiers:
             raise DomainError("at least one classifier is required")
         repeated = {c for c in self.classifiers
@@ -135,7 +136,8 @@ class ExperimentConfig:
                 f"n1+n2-2 = {self.n1 + self.n2 - 2}"
             )
         if self.scenario.n0 > self.p:
-            raise DomainError("scenario sparsity n0 exceeds p")
+            raise DomainError(f"scenario sparsity n0 exceeds p: n0 = "
+                              f"{self.scenario.n0}, p = {self.p}")
         if self.master_seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.master_seed}")
         if self.mu2_override is not None:

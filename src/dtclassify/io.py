@@ -1,9 +1,12 @@
 """Config-file parsing and result emission.
 
-The run-config format is an INI-style document with sections
-``[experiment]``, ``[covariance]``, ``[scenario]``, ``[innovation]``,
-``[classifiers]`` and ``[output]``. Unknown sections or keys are rejected
-with the offending key path in the message.
+The run config is an INI document read against one table, ``SCHEMA``:
+section -> key -> parser. The reader rejects an unknown section or key,
+names ``[section].key`` when a value does not parse, and checks the
+required keys. Inline ``;`` comments are allowed. Which keys go together
+is not io's to say: the specs built from the values (``CovarianceSpec``,
+``ScenarioSpec``, ``InnovationSpec``, ``ExperimentConfig``) are the only
+validators, and io adds the section's name to their errors.
 
 All numeric output uses Python's shortest round-trip float formatting so
 result files are diffable across runs and platforms.
@@ -21,19 +24,10 @@ import numpy as np
 
 from . import __version__
 from .covariance import CovarianceSpec
-from .errors import ConfigError
+from .errors import ConfigError, SingularityError, ValidationError
 from .harness import CLASSIFIER_IDS, ExperimentConfig, ExperimentResult
 from .model import InnovationSpec, ScenarioSpec
 from .reproduce import ReproReport
-
-KNOWN_KEYS = {
-    "experiment": {"p", "n1", "n2", "m1", "m2", "reps", "seed"},
-    "covariance": {"kind", "rho", "sigmas"},
-    "scenario": {"kind", "n0", "redraw_mu2"},
-    "innovation": {"kind", "df", "negate", "kind2", "df2", "negate2"},
-    "classifiers": {"list"},
-    "output": {"directory", "formats"},
-}
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -43,21 +37,7 @@ ENV_OUTPUT_DIR = "DTCLASSIFY_OUT"
 @dataclass(frozen=True)
 class OutputOptions:
     directory: str
-    formats: tuple[str, ...] = ("csv", "json")
-
-
-def _get(section, key, cast, default=None, required=False, path=""):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key [{path}].{key}")
-        return default
-    raw = section[key]
-    try:
-        return cast(raw)
-    except (ValueError, TypeError):
-        raise ConfigError(
-            f"[{path}].{key}: cannot parse {raw!r}"
-        ) from None
+    formats: tuple[str, ...] = OUTPUT_FORMATS
 
 
 def _bool(raw: str) -> bool:
@@ -69,8 +49,46 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _load_ini(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
+def _list(raw: str) -> tuple[str, ...]:
+    """A comma-separated list; every entry must be non-empty."""
+    items = tuple(tok.strip() for tok in raw.split(","))
+    if not all(items):
+        raise ValueError(raw)
+    return items
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in _list(raw))
+
+
+# section -> key -> parser; a key not listed here is rejected
+SCHEMA = {
+    "experiment": {"p": int, "n1": int, "n2": int, "m1": int, "m2": int,
+                   "reps": int, "seed": int},
+    "covariance": {"kind": str, "rho": float, "sigmas": _floats},
+    "scenario": {"kind": str, "n0": int, "redraw_mu2": _bool},
+    "innovation": {"kind": str, "df": int, "negate": _bool,
+                   "kind2": str, "df2": int, "negate2": _bool},
+    "classifiers": {"list": _list},
+    "output": {"directory": str, "formats": _list},
+}
+
+# keys a config must give; [experiment] itself is required, the other
+# sections only bind when present
+REQUIRED = {"experiment": ("p", "n1", "n2", "seed"), "classifiers": ("list",)}
+
+
+def _parse(section: str, key: str, raw: str):
+    try:
+        return SCHEMA[section][key](raw)
+    except ValueError:
+        raise ConfigError(f"[{section}].{key}: cannot parse {raw!r}") from None
+
+
+def _read(path) -> dict[str, dict]:
+    """The config file as {section: {key: parsed value}}, keys as given."""
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -78,138 +96,81 @@ def _load_ini(path) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
+    values = {}
     for section in parser.sections():
-        if section not in KNOWN_KEYS:
+        if section not in SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        extra = set(parser[section]) - KNOWN_KEYS[section]
+        extra = set(parser[section]) - set(SCHEMA[section])
         if extra:
             raise ConfigError(
-                f"unknown key(s) in [{section}]: {sorted(extra)}"
-            )
-    return parser
+                f"unknown key(s) in [{section}]: {sorted(extra)}")
+        values[section] = {key: _parse(section, key, raw)
+                           for key, raw in parser[section].items()}
+    if "experiment" not in values:
+        raise ConfigError("missing required section [experiment]")
+    for section, keys in REQUIRED.items():
+        for key in keys:
+            if section in values and key not in values[section]:
+                raise ConfigError(f"missing required key [{section}].{key}")
+    return values
 
 
-def _covariance_from(parser, p: int) -> CovarianceSpec:
-    if not parser.has_section("covariance"):
-        return CovarianceSpec.identity(p)
-    sec = parser["covariance"]
-    kind = _get(sec, "kind", str, default="identity", path="covariance")
-    rho = _get(sec, "rho", float, path="covariance")
-    if rho is not None and not (-1.0 < rho < 1.0):
-        raise ConfigError(f"[covariance].rho: {rho} outside (-1, 1)")
-    sigmas = _get(
-        sec, "sigmas",
-        lambda s: np.array([float(tok) for tok in s.split(",")]),
-        path="covariance",
-    )
+def _spec(section: str, build, *args):
+    """``build(*args)``, with ``[section]`` named on a ValidationError."""
     try:
-        if kind == "identity":
-            return CovarianceSpec.identity(p)
-        if kind in ("equal_corr", "ar1"):
-            if rho is None:
-                raise ConfigError(f"[covariance].rho is required for {kind}")
-            return CovarianceSpec(kind, p, rho=rho)
-        if kind == "diagonal":
-            if sigmas is None:
-                raise ConfigError("[covariance].sigmas is required for "
-                                  "diagonal")
-            return CovarianceSpec.diagonal(sigmas)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"[covariance]: {exc}") from exc
-    raise ConfigError(f"[covariance].kind: unsupported kind {kind!r}")
-
-
-def _innovation_from(sec, suffix: str) -> InnovationSpec | None:
-    kind = _get(sec, f"kind{suffix}", str, path="innovation")
-    if kind is None:
-        return None
-    df = _get(sec, f"df{suffix}", int, path="innovation")
-    negate = _get(sec, f"negate{suffix}", _bool, default=False,
-                  path="innovation")
-    try:
-        return InnovationSpec(kind, df=df, negate=negate)
-    except Exception as exc:
-        raise ConfigError(f"[innovation]: {exc}") from exc
+        return build(*args)
+    except ValidationError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from exc
 
 
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate a run-config file into an ExperimentConfig."""
-    parser = _load_ini(path)
-    if not parser.has_section("experiment"):
-        raise ConfigError("missing required section [experiment]")
-    exp = parser["experiment"]
-    p = _get(exp, "p", int, required=True, path="experiment")
-    n1 = _get(exp, "n1", int, required=True, path="experiment")
-    n2 = _get(exp, "n2", int, required=True, path="experiment")
-    seed = _get(exp, "seed", int, required=True, path="experiment")
-    m1 = _get(exp, "m1", int, path="experiment")
-    m2 = _get(exp, "m2", int, path="experiment")
-    reps = _get(exp, "reps", int, default=1000, path="experiment")
-
-    covariance = _covariance_from(parser, p)
-
-    if parser.has_section("scenario"):
-        sec = parser["scenario"]
-        kind = _get(sec, "kind", str, default="delocalized", path="scenario")
-        n0 = _get(sec, "n0", int, default=10, path="scenario")
-        redraw = _get(sec, "redraw_mu2", _bool, default=True, path="scenario")
+    values = _read(path)
+    exp = values["experiment"]
+    p, n1, n2 = exp["p"], exp["n1"], exp["n2"]
+    cov = values.get("covariance", {})
+    covariance = _spec("covariance", CovarianceSpec,
+                       cov.get("kind", "identity"), p, cov.get("rho"),
+                       cov.get("sigmas"))
+    sc = values.get("scenario", {})
+    scenario = _spec("scenario", ScenarioSpec, sc.get("kind", "delocalized"),
+                     sc.get("n0", 10), sc.get("redraw_mu2", True))
+    inn = values.get("innovation", {})
+    innov1 = _spec("innovation", InnovationSpec, inn.get("kind", "normal"),
+                   inn.get("df"), inn.get("negate", False))
+    if "kind2" in inn:
+        innov2 = _spec("innovation", InnovationSpec, inn["kind2"],
+                       inn.get("df2"), inn.get("negate2", False))
+    elif "df2" in inn or "negate2" in inn:
+        raise ConfigError("[innovation]: df2 and negate2 need kind2")
     else:
-        kind, n0, redraw = "delocalized", 10, True
-    try:
-        scenario = ScenarioSpec(kind, n0, redraw_mu2=redraw)
-    except Exception as exc:
-        raise ConfigError(f"[scenario]: {exc}") from exc
-
-    innov1 = InnovationSpec("normal")
-    innov2 = None
-    if parser.has_section("innovation"):
-        sec = parser["innovation"]
-        innov1 = _innovation_from(sec, "") or innov1
-        innov2 = _innovation_from(sec, "2")
-
-    if parser.has_section("classifiers"):
-        raw = _get(parser["classifiers"], "list", str, required=True,
-                   path="classifiers")
-        classifiers = tuple(tok.strip() for tok in raw.split(",") if
-                            tok.strip())
-        unknown = set(classifiers) - set(CLASSIFIER_IDS)
-        if unknown:
-            raise ConfigError(
-                f"[classifiers].list: unknown classifier id(s) "
-                f"{sorted(unknown)}; valid ids are {CLASSIFIER_IDS}"
-            )
+        innov2 = innov1
+    if "classifiers" in values:
+        classifiers = values["classifiers"]["list"]
     elif p < n1 + n2 - 2:
         classifiers = CLASSIFIER_IDS
     else:  # the D-rule needs p < n1+n2-2
         classifiers = tuple(c for c in CLASSIFIER_IDS if c != "d")
-
     try:
         return ExperimentConfig(
             p=p, n1=n1, n2=n2, covariance=covariance, scenario=scenario,
-            innovation1=innov1, innovation2=innov2 or innov1,
-            classifiers=classifiers, m1=m1, m2=m2, reps=reps,
-            master_seed=seed,
+            innovation1=innov1, innovation2=innov2, classifiers=classifiers,
+            m1=exp.get("m1"), m2=exp.get("m2"), reps=exp.get("reps", 1000),
+            master_seed=exp["seed"],
         )
-    except Exception as exc:
+    # the D-rule's dimension limit is checked here, before any arithmetic,
+    # so a config that breaks it is a config error
+    except (ValidationError, SingularityError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def parse_output_options(path, override_dir=None, override_formats=None
                          ) -> OutputOptions:
-    parser = _load_ini(path)
-    directory = override_dir
-    formats = override_formats
-    if parser.has_section("output"):
-        sec = parser["output"]
-        directory = directory or _get(sec, "directory", str, path="output")
-        if formats is None:
-            raw = _get(sec, "formats", str, path="output")
-            if raw is not None:
-                formats = tuple(tok.strip() for tok in raw.split(","))
-    directory = directory or os.environ.get(ENV_OUTPUT_DIR) or "."
-    formats = tuple(formats) if formats else OUTPUT_FORMATS
+    output = _read(path).get("output", {})
+    directory = (override_dir or output.get("directory")
+                 or os.environ.get(ENV_OUTPUT_DIR) or ".")
+    formats = tuple(override_formats or output.get("formats")
+                    or OUTPUT_FORMATS)
     bad = set(formats) - set(OUTPUT_FORMATS)
     if bad:
         raise ConfigError(f"[output].formats: unknown format(s) {sorted(bad)}")

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import lapack
 from .covariance import CovarianceSpec, MixingMatrix, beta_squared
-from .errors import CalibrationError, DomainError
+from .errors import DomainError
 
 INNOVATION_KINDS = ("normal", "student_t", "gamma_shifted")
 
@@ -48,6 +48,8 @@ class InnovationSpec:
                     f"student_t needs integer df > 4 (finite fourth moment), "
                     f"got {self.df}"
                 )
+        if self.df is not None and self.kind != "student_t":
+            raise DomainError(f"df only applies to student_t, not {self.kind}")
         if self.negate and self.kind != "gamma_shifted":
             raise DomainError("negate only applies to gamma_shifted")
 
@@ -118,12 +120,8 @@ def localized_mu2(n0: int, p: int) -> np.ndarray:
 
 def delocalized_scale(sigma: CovarianceSpec, delta_l2: float) -> float:
     """The uniform-law scale e = Delta_L / beta, from the localized mean
-    difference's Mahalanobis distance ``delta_l2``."""
-    if sigma.kind not in ("identity", "equal_corr", "ar1"):
-        raise CalibrationError(
-            f"delocalized calibration is not defined for covariance kind "
-            f"{sigma.kind!r}"
-        )
+    difference's Mahalanobis distance ``delta_l2``. ``beta_squared``
+    raises CalibrationError for a kind without a calibration."""
     return float(np.sqrt(delta_l2 / beta_squared(sigma)))
 
 

@@ -35,6 +35,8 @@ from .errors import DomainError, SingularityError
 from .model import InnovationSpec
 
 VARIANCE_VARIANTS = ("full", "v1", "v2", "v3")
+# the covariance kinds the exact-moment ("full") variance holds for
+FULL_VARIANCE_KINDS = ("identity", "diagonal")
 
 
 def normal_cdf(x) -> float | np.ndarray:
@@ -269,7 +271,7 @@ def t_variance_terms(variant: str, tr_sigma2: float, delta_sigma_delta: float,
 
 def t_variance(inputs: TheoryInputsT, variant: str) -> float:
     """Variance B_p^2 of the trace-rule statistic, per the chosen variant."""
-    if variant == "full" and inputs.sigma.kind not in ("identity", "diagonal"):
+    if variant == "full" and inputs.sigma.kind not in FULL_VARIANCE_KINDS:
         raise DomainError(
             "the exact-moment variance assumes a diagonal covariance"
         )

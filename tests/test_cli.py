@@ -92,6 +92,15 @@ class TestSimulate:
         assert "reps must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_key_the_kind_does_not_take_exits_one(self, tmp_path, capsys):
+        config = write(tmp_path, SMALL + "\n[innovation]\nkind = normal\n"
+                       "df = 7\n")
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [innovation]: df")
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_classifier_exits_one(self, tmp_path, capsys):
         config = write(tmp_path,
                        SMALL + "\n[classifiers]\nlist = t,t,oracle\n")

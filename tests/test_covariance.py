@@ -38,6 +38,14 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             CovarianceSpec.diagonal([1.0, 0.0, 2.0])
 
+    def test_parameter_the_kind_does_not_take_rejected(self):
+        with pytest.raises(DomainError, match="rho"):
+            CovarianceSpec("identity", 3, rho=0.5)
+        with pytest.raises(DomainError, match="rho"):
+            CovarianceSpec("diagonal", 2, rho=0.5, sigmas=[1.0, 2.0])
+        with pytest.raises(DomainError, match="sigmas"):
+            CovarianceSpec("ar1", 2, rho=0.5, sigmas=[1.0, 2.0])
+
     def test_value_equality_with_array_fields(self):
         a = CovarianceSpec.diagonal([1.0, 2.0])
         b = CovarianceSpec.diagonal([1.0, 2.0])

@@ -1,6 +1,8 @@
 """Config parsing, CSV ingestion, and result emission."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +50,10 @@ df = 7
 [classifiers]
 list = d,t,nb,oracle
 """
+
+
+# a valid diagonal for MINIMAL's p = 10
+SIGMAS = "sigmas = " + ",".join(["1"] * 10)
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -108,11 +114,11 @@ class TestParseConfig:
             dtio.parse_config(path)
 
     def test_rho_out_of_range_for_identity(self, tmp_path):
-        # identity ignores rho, so only the parser's range check rejects it
+        # identity takes no rho, so CovarianceSpec rejects any value
         path = write(tmp_path, MINIMAL + "\n[covariance]\nkind = identity\n"
                      "rho = 5\n")
         with pytest.raises(ConfigError,
-                           match=r"\[covariance\]\.rho: 5\.0 outside"):
+                           match=r"\[covariance\]: rho only applies to"):
             dtio.parse_config(path)
 
     def test_unparseable_value(self, tmp_path):
@@ -122,12 +128,50 @@ class TestParseConfig:
 
     def test_unknown_classifier_lists_valid_ids(self, tmp_path):
         path = write(tmp_path, MINIMAL + "\n[classifiers]\nlist = d,svm\n")
-        with pytest.raises(ConfigError, match="svm"):
+        with pytest.raises(ConfigError, match=r"svm.*valid ids"):
             dtio.parse_config(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             dtio.parse_config(tmp_path / "absent.ini")
+
+    @pytest.mark.parametrize("section,text,key", [
+        ("covariance", "kind = identity\nrho = 0.5", "rho"),
+        ("covariance", f"kind = diagonal\nrho = 0.5\n{SIGMAS}", "rho"),
+        ("covariance", f"kind = identity\n{SIGMAS}", "sigmas"),
+        ("covariance", f"kind = equal_corr\nrho = 0.5\n{SIGMAS}", "sigmas"),
+        ("covariance", f"kind = ar1\nrho = 0.5\n{SIGMAS}", "sigmas"),
+        ("covariance", "kind = diagonal\nsigmas = 1,2,3", "sigmas"),
+        ("innovation", "kind = normal\ndf = 7", "df"),
+        ("innovation", "kind = gamma_shifted\ndf = 7", "df"),
+        ("innovation", "kind = normal\ndf2 = 7", "df2"),
+        ("innovation", "kind = gamma_shifted\nnegate2 = true", "negate2"),
+    ], ids=["rho-identity", "rho-diagonal", "sigmas-identity",
+            "sigmas-equal_corr", "sigmas-ar1", "sigmas-not-length-p",
+            "df-normal", "df-gamma_shifted", "df2-without-kind2",
+            "negate2-without-kind2"])
+    def test_key_the_kind_does_not_take_is_rejected(self, tmp_path, section,
+                                                    text, key):
+        path = write(tmp_path, f"{MINIMAL}\n[{section}]\n{text}\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\]: .*{key}"):
+            dtio.parse_config(path)
+
+    def test_default_n0_above_p_gives_both_values(self, tmp_path):
+        path = write(tmp_path, MINIMAL.replace("p = 10", "p = 6"))
+        with pytest.raises(ConfigError, match="n0 = 10, p = 6"):
+            dtio.parse_config(path)
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md"
+                  ).read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        path = write(tmp_path, block)
+        config = dtio.parse_config(path)
+        assert config.covariance == CovarianceSpec.equal_corr(125, 0.5)
+        assert config.innovation1 == InnovationSpec("student_t", df=7)
+        assert config.master_seed == 42 and config.test1 == 100
+        opts = dtio.parse_output_options(path)
+        assert opts == dtio.OutputOptions("results", ("csv", "json"))
 
 
 class TestOutputOptions:

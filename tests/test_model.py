@@ -43,6 +43,10 @@ class TestInnovationSpec:
             InnovationSpec("student_t", df=4)  # infinite fourth moment
         with pytest.raises(DomainError):
             InnovationSpec("normal", negate=True)
+        with pytest.raises(DomainError, match="df"):
+            InnovationSpec("normal", df=7)
+        with pytest.raises(DomainError, match="df"):
+            InnovationSpec("gamma_shifted", df=7)
 
     @pytest.mark.parametrize("spec", [
         InnovationSpec("normal"),
