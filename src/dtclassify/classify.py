@@ -20,10 +20,11 @@ statistic <= 0 (ties resolve to group 1 for reproducibility).
 * ``oracle_statistics``      -- Fisher's rule with the true means and
   inverse covariance.
 
-When n1 = n2 (so alpha1 = alpha2 = alpha) every rule is affine in the query
-point, -weight (z - m)' u with m the midpoint of the two means;
-``linear_forms`` gives each rule's offset and vector in that form, with the
-D-rule's u = A^-1 (xbar - ybar) passed in as a vector.
+Every rule reads one record of the training draw, ``TrainedStats``;
+``ROW_STATISTICS`` maps each rule id to its statistics for query rows. When
+n1 = n2 (so alpha1 = alpha2 = alpha) every rule is affine in the query
+point, -weight (z - m)' u with m the midpoint of the two means, and
+``linear_forms`` gives each rule's offset and vector from the same record.
 """
 
 from __future__ import annotations
@@ -42,14 +43,19 @@ from .errors import (
 
 @dataclass
 class TrainedStats:
-    """Sufficient statistics fitted from the two training samples."""
+    """What the rules read of a training draw: the group means and sizes
+    and, None unless its rule runs, the D-rule's Cholesky factor L of the
+    pooled scatter A = L L' (rows) or A^-1 (xbar - ybar) (linear forms),
+    naive Bayes' pooled variances and the truth (mu1, mu2, Sigma^-1)."""
 
     mean_x: np.ndarray
     mean_y: np.ndarray
     n1: int
     n2: int
-    # lower Cholesky factor of the pooled scatter, from ``lapack.cholesky``
     _chol: np.ndarray | None = field(default=None, repr=False)
+    direction: np.ndarray | None = field(default=None, repr=False)
+    variances: np.ndarray | None = field(default=None, repr=False)
+    truth: tuple | None = field(default=None, repr=False)
 
     @property
     def alpha1(self) -> float:
@@ -58,10 +64,6 @@ class TrainedStats:
     @property
     def alpha2(self) -> float:
         return self.n2 / (self.n2 + 1.0)
-
-    @property
-    def p(self) -> int:
-        return self.mean_x.shape[0]
 
 
 def fit(X, Y, need_scatter: bool = True) -> TrainedStats:
@@ -77,13 +79,17 @@ def fit(X, Y, need_scatter: bool = True) -> TrainedStats:
         raise DomainError("each group needs at least 2 training points")
     stats = TrainedStats(X.mean(axis=0), Y.mean(axis=0), n1, n2)
     if need_scatter:
-        if p >= n1 + n2 - 2:
-            raise SingularityError(
-                f"the D-criterion needs p < n1+n2-2 so the pooled scatter is "
-                f"invertible; got p = {p}, n1+n2-2 = {n1 + n2 - 2}"
-            )
+        check_d_dimension(p, n1, n2)
         stats._chol = _factor_scatter(pooled_scatter(X, Y))
     return stats
+
+
+def check_d_dimension(p: int, n1: int, n2: int) -> None:
+    """Raise SingularityError past the D-rule's limit p < n1 + n2 - 2."""
+    if p >= n1 + n2 - 2:
+        raise SingularityError(
+            f"the D-criterion needs p < n1+n2-2 so the pooled scatter is "
+            f"invertible; got p = {p}, n1+n2-2 = {n1 + n2 - 2}")
 
 
 def pooled_scatter(X, Y) -> np.ndarray:
@@ -240,18 +246,27 @@ def oracle_statistics(mu1, mu2, sigma_inv, Z) -> np.ndarray:
     return -score
 
 
-def linear_forms(classifiers, stats: TrainedStats, d_direction=None,
-                 pooled_variances=None, truth=None
+# rule id -> its statistics for rows of Z from a TrainedStats s. Each entry
+# calls its rule by the module-global name, so a rule patched by name runs.
+ROW_STATISTICS = {
+    "d": lambda s, Z: d_statistics(s, Z),
+    "t": lambda s, Z: t_statistics(s, Z),
+    "nb": lambda s, Z: naive_bayes_statistics(s, s.variances, Z),
+    "oracle": lambda s, Z: oracle_statistics(*s.truth, Z),
+}
+
+
+def linear_forms(classifiers, stats: TrainedStats
                  ) -> dict[str, tuple[float, np.ndarray]]:
     """Each rule's statistic as c + w'z, for equal group sizes.
 
     With alpha1 = alpha2 = alpha every rule is -weight (z - m)' u:
-    ``d`` takes u = ``d_direction``, which is A^-1 (xbar - ybar), and ``t``
-    u = xbar - ybar, both with weight 2 alpha and m = (xbar + ybar) / 2;
-    ``nb`` takes u = (xbar - ybar) / ``pooled_variances`` with weight 1;
+    ``d`` takes u = ``stats.direction``, which is A^-1 (xbar - ybar), and
+    ``t`` u = xbar - ybar, both with weight 2 alpha and m = (xbar + ybar) / 2;
+    ``nb`` takes u = (xbar - ybar) / ``stats.variances`` with weight 1;
     the oracle takes u = Sigma^-1 (mu1 - mu2), m = (mu1 + mu2) / 2 and
-    weight 1 from ``truth`` = (mu1, mu2, Sigma^-1). Returns {rule: (c, w)}
-    with c = weight m'u and w = -weight u.
+    weight 1 from ``stats.truth`` = (mu1, mu2, Sigma^-1). Returns
+    {rule: (c, w)} with c = weight m'u and w = -weight u.
     """
     if stats.n1 != stats.n2:
         raise DomainError("linear forms need n1 = n2")
@@ -259,15 +274,13 @@ def linear_forms(classifiers, stats: TrainedStats, d_direction=None,
     mid = (stats.mean_x + stats.mean_y) / 2.0
     forms = {}
     for clf in classifiers:
-        m, weight = mid, 2.0 * stats.alpha1
+        m, weight, u = mid, 2.0 * stats.alpha1, diff  # the T-rule's
         if clf == "d":
-            u = d_direction
-        elif clf == "t":
-            u = diff
+            u = stats.direction
         elif clf == "nb":
-            u, weight = diff / _positive_variances(pooled_variances), 1.0
-        else:
-            mu1, mu2, sigma_inv = truth
+            u, weight = diff / _positive_variances(stats.variances), 1.0
+        elif clf == "oracle":
+            mu1, mu2, sigma_inv = stats.truth
             u, m, weight = sigma_inv @ (mu1 - mu2), (mu1 + mu2) / 2.0, 1.0
         forms[clf] = (weight * float(m @ u), -weight * u)
     return forms

@@ -45,7 +45,8 @@ class CovarianceSpec:
         if self.kind not in KINDS:
             raise DomainError(f"unknown covariance kind {self.kind!r}")
         if self.p < 1:
-            raise DomainError(f"dimension p must be >= 1, got {self.p}")
+            raise DomainError(f"dimension p must be >= 1, got {self.p}",
+                              fields=("p",))
         if self.rho is not None and self.kind not in ("equal_corr", "ar1"):
             raise DomainError(
                 f"rho only applies to equal_corr and ar1, not {self.kind}")

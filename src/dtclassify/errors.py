@@ -7,7 +7,12 @@ CLI can map them to different exit codes.
 
 
 class DTClassifyError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. ``fields`` names the parameters
+    at fault when they span more than the raising object's own."""
+
+    def __init__(self, message: str = "", fields: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.fields = fields
 
 
 class ValidationError(DTClassifyError):

@@ -3,14 +3,15 @@
 A replication (``_replicate``) takes its RNG stream from (master_seed,
 rep_index), so results are bit-identical however many workers run them,
 draws mu2 when the delocalized mean is redrawn, then a training draw and a
-test draw, and counts each classifier's test errors. Training is rows,
-fitted once (``fit_rows``, as in ``classify_dataset``), or, for normal
-innovations, xbar, ybar and what the D-rule and naive Bayes read of the
-pooled scatter; testing is rows scored by ``fitted_rule_statistics``, or,
-for normal innovations and n1 = n2, the rules' statistics drawn from their
-linear forms. ``row_replication`` (the reference path) and
-``reduced_replication`` pair these halves; ``run_replication`` takes the
-reduced one where it applies (``ExperimentConfig.sampler``).
+test draw, and counts each classifier's test errors. Training fills the
+rules' record, ``classify.TrainedStats``, from rows fitted once
+(``fit_rows``, as in ``classify_dataset``) or, for normal innovations, from
+xbar, ybar and what the D-rule and naive Bayes read of the pooled scatter;
+testing scores rows by the rule table (``fitted_rule_statistics``) or, for
+normal innovations and n1 = n2, draws the statistics from linear forms.
+``row_replication`` (the reference path) and ``reduced_replication`` pair
+these halves; ``run_replication`` takes the reduced one where it applies
+(``ExperimentConfig.sampler``).
 
 What depends on the config alone -- Gamma, Sigma^-1, a fixed mean
 difference or mu2, the localized Delta_L^2 and the delocalized scale e --
@@ -50,7 +51,7 @@ from .covariance import (
     trace_and_sum,
     trace_sigma_squared,
 )
-from .errors import DomainError, NumericalError, SingularityError
+from .errors import DomainError, NumericalError
 from .model import (
     InnovationSpec,
     PopulationModel,
@@ -68,8 +69,7 @@ from .theory import (
     t_misclass,
 )
 
-# determinant rule, trace rule, naive Bayes, Fisher's rule with the truth
-CLASSIFIER_IDS = ("d", "t", "nb", "oracle")
+CLASSIFIER_IDS = tuple(classify.ROW_STATISTICS)
 # the oracle needs the true parameters, which labeled data do not have
 DATASET_CLASSIFIER_IDS = tuple(c for c in CLASSIFIER_IDS if c != "oracle")
 
@@ -122,22 +122,22 @@ class ExperimentConfig:
         unknown = set(self.classifiers) - set(CLASSIFIER_IDS)
         if unknown:
             raise DomainError(f"unknown classifier id(s) {sorted(unknown)}; "
-                              f"valid ids are {CLASSIFIER_IDS}")
+                              f"valid ids are {CLASSIFIER_IDS}",
+                              fields=("classifiers",))
         if not self.classifiers:
             raise DomainError("at least one classifier is required")
         repeated = {c for c in self.classifiers
                     if self.classifiers.count(c) > 1}
         if repeated:
             raise DomainError(
-                f"classifier id(s) listed more than once: {sorted(repeated)}")
-        if "d" in self.classifiers and self.p >= self.n1 + self.n2 - 2:
-            raise SingularityError(
-                f"the D-criterion needs p < n1+n2-2; got p = {self.p}, "
-                f"n1+n2-2 = {self.n1 + self.n2 - 2}"
-            )
+                f"classifier id(s) listed more than once: {sorted(repeated)}",
+                fields=("classifiers",))
+        if "d" in self.classifiers:
+            classify.check_d_dimension(self.p, self.n1, self.n2)
         if self.scenario.n0 > self.p:
             raise DomainError(f"scenario sparsity n0 exceeds p: n0 = "
-                              f"{self.scenario.n0}, p = {self.p}")
+                              f"{self.scenario.n0}, p = {self.p}",
+                              fields=("n0", "p"))
         if self.master_seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.master_seed}")
         if self.mu2_override is not None:
@@ -262,10 +262,9 @@ def reduced_replication(config: ExperimentConfig, rep_index: int
 
 def _replicate(config: ExperimentConfig, rep_index: int, training, test
                ) -> dict[str, tuple[int, int]]:
-    """The replication body. ``training(config, mu, rng)`` returns (stats,
-    naive Bayes' pooled variances, the D-rule's A^-1 (xbar - ybar)), each
-    None if not drawn, and ``test(config, mu, truth, trained, rng)`` the
-    m1 + m2 test points' statistics, one column per rule."""
+    """The replication body. ``training(config, mu, rng)`` returns the
+    rules' ``classify.TrainedStats``, given the oracle's truth here, and
+    ``test(config, mu, stats, rng)`` the (m1 + m2) x k rule statistics."""
     rng = np.random.default_rng([config.master_seed, rep_index])
     mu2 = config.fixed_mu2
     if mu2 is None:
@@ -274,7 +273,9 @@ def _replicate(config: ExperimentConfig, rep_index: int, training, test
     mu = (np.zeros(config.p), mu2)
     truth = (*mu, config.sigma_inv) if "oracle" in config.classifiers else None
     try:
-        scores = test(config, mu, truth, training(config, mu, rng), rng)
+        stats = training(config, mu, rng)
+        stats.truth = truth
+        scores = test(config, mu, stats, rng)
     except NumericalError as exc:
         raise type(exc)(f"replication {rep_index}: {exc}") from exc
     m1 = config.test1
@@ -288,32 +289,31 @@ def _populations(config: ExperimentConfig, mu) -> tuple:
                  in zip(mu, (config.innovation1, config.innovation2)))
 
 
-def _row_training(config: ExperimentConfig, mu, rng) -> tuple:
+def _row_training(config: ExperimentConfig, mu, rng) -> classify.TrainedStats:
     """n1 + n2 fitted rows for the D-rule or naive Bayes; the T-rule and
     the oracle read only xbar and ybar, which are then drawn directly
     (``PopulationModel.sample_mean``), exactly in law."""
     pop1, pop2 = _populations(config, mu)
     rules = config.classifiers
     if "d" in rules or "nb" in rules:
-        return (*fit_rows(rules, pop1.sample(config.n1, rng),
-                          pop2.sample(config.n2, rng)), None)
+        return fit_rows(rules, pop1.sample(config.n1, rng),
+                        pop2.sample(config.n2, rng))
     return classify.TrainedStats(pop1.sample_mean(config.n1, rng),
                                  pop2.sample_mean(config.n2, rng),
-                                 config.n1, config.n2), None, None
+                                 config.n1, config.n2)
 
 
-def _row_test(config: ExperimentConfig, mu, truth, trained, rng
-              ) -> np.ndarray:
+def _row_test(config: ExperimentConfig, mu, stats, rng) -> np.ndarray:
     """m1 + m2 test rows, scored by ``fitted_rule_statistics``."""
-    stats, pooled_variances, _ = trained
     pop1, pop2 = _populations(config, mu)
     Z = np.vstack([pop1.sample(config.test1, rng),
                    pop2.sample(config.test2, rng)])
     return np.column_stack(list(fitted_rule_statistics(
-        config.classifiers, stats, Z, truth, pooled_variances).values()))
+        config.classifiers, stats, Z).values()))
 
 
-def _reduced_training(config: ExperimentConfig, mu, rng) -> tuple:
+def _reduced_training(config: ExperimentConfig, mu, rng
+                      ) -> classify.TrainedStats:
     """The training draw from its sufficient statistics, exactly in law
     for normal innovations: xbar ~ N(mu1, Sigma/n1), ybar ~ N(mu2, Sigma/n2)
     and, for the D-rule and naive Bayes, the pooled scatter A = Gamma W
@@ -326,13 +326,12 @@ def _reduced_training(config: ExperimentConfig, mu, rng) -> tuple:
     stats = classify.TrainedStats(
         mu[0] + gamma.mix(z1) / math.sqrt(config.n1),
         mu[1] + gamma.mix(z2) / math.sqrt(config.n2), config.n1, config.n2)
-    pooled_variances = direction = None
     dof = config.n1 + config.n2 - 2
     if "nb" in rules:
         T = bartlett_factor(p, dof, rng)
-        pooled_variances = np.sum(gamma.mix(T) ** 2, axis=1) / dof
+        stats.variances = np.sum(gamma.mix(T) ** 2, axis=1) / dof
         if "d" in rules:
-            direction = classify.whitened_scatter_solver(T, gamma)(
+            stats.direction = classify.whitened_scatter_solver(T, gamma)(
                 stats.mean_x - stats.mean_y)
     elif "d" in rules:
         # the whitened means Gamma^-1 xbar (mu1 = 0) and Gamma^-1 ybar,
@@ -349,17 +348,14 @@ def _reduced_training(config: ExperimentConfig, mu, rng) -> tuple:
         reads = [(white_x + white_y) / 2.0, white_mu2]
         if "t" in rules:
             reads.append(gamma.mix(stats.mean_x - stats.mean_y))
-        direction = gamma.unmix(whitened_solve(
+        stats.direction = gamma.unmix(whitened_solve(
             white_x - white_y, np.column_stack(reads), dof, rng))
-    return stats, pooled_variances, direction
+    return stats
 
 
-def _projected_test(config: ExperimentConfig, mu, truth, trained, rng
-                    ) -> np.ndarray:
+def _projected_test(config: ExperimentConfig, mu, stats, rng) -> np.ndarray:
     """Both test groups' statistics, drawn from the rules' linear forms."""
-    stats, pooled_variances, direction = trained
-    forms = classify.linear_forms(config.classifiers, stats, direction,
-                                  pooled_variances, truth)
+    forms = classify.linear_forms(config.classifiers, stats)
     return draw_test_statistics(forms, config.gamma, mu,
                                 [config.test1, config.test2], rng)
 
@@ -417,40 +413,20 @@ def draw_test_statistics(forms, gamma: MixingMatrix, mu, m, rng
     return out
 
 
-def rule_statistics(classifiers, X, Y, Z, truth=None
-                    ) -> dict[str, np.ndarray]:
-    """Fit once on the groups X and Y (``fit_rows``); each rule's statistics
-    for rows of Z, <= 0 assigning a row to group 1. ``truth`` is (mu1, mu2,
-    Sigma^-1), read by the oracle only."""
-    stats, pooled_variances = fit_rows(classifiers, X, Y)
-    return fitted_rule_statistics(classifiers, stats, Z, truth,
-                                  pooled_variances)
-
-
-def fit_rows(classifiers, X, Y) -> tuple:
-    """(stats, pooled variances) fitted once on the groups X and Y; the
-    scatter only for the D-rule, the variances (else None) for naive Bayes."""
+def fit_rows(classifiers, X, Y) -> classify.TrainedStats:
+    """The record fitted once on the groups X and Y: the scatter only for
+    the D-rule, the pooled variances only for naive Bayes."""
     stats = classify.fit(X, Y, need_scatter="d" in classifiers)
-    return stats, (pooled_variances_from_data(X, Y) if "nb" in classifiers
-                   else None)
+    if "nb" in classifiers:
+        stats.variances = pooled_variances_from_data(X, Y)
+    return stats
 
 
-def fitted_rule_statistics(classifiers, stats, Z, truth=None,
-                           pooled_variances=None) -> dict[str, np.ndarray]:
-    """Each rule's statistics for rows of Z from fitted ``stats``, as in
-    ``rule_statistics``; naive Bayes reads ``pooled_variances``."""
-    out: dict[str, np.ndarray] = {}
-    for clf in classifiers:
-        if clf == "d":
-            out[clf] = classify.d_statistics(stats, Z)
-        elif clf == "t":
-            out[clf] = classify.t_statistics(stats, Z)
-        elif clf == "nb":
-            out[clf] = classify.naive_bayes_statistics(
-                stats, pooled_variances, Z)
-        else:
-            out[clf] = classify.oracle_statistics(*truth, Z)
-    return out
+def fitted_rule_statistics(classifiers, stats, Z) -> dict[str, np.ndarray]:
+    """Each rule's statistics for rows of Z from the record ``stats``
+    (``classify.ROW_STATISTICS``), <= 0 assigning a row to group 1."""
+    return {clf: classify.ROW_STATISTICS[clf](stats, Z)
+            for clf in classifiers}
 
 
 def pooled_variances_from_data(X, Y) -> np.ndarray:
@@ -643,8 +619,9 @@ def classify_dataset(train, test, classifiers=("t",)
         raise DomainError(
             f"classifier id(s) {sorted(unknown)} not usable on real data"
         )
-    scores = rule_statistics(classifiers, train.group(1), train.group(2),
-                             np.vstack([train.features, test.features]))
+    scores = fitted_rule_statistics(
+        classifiers, fit_rows(classifiers, train.group(1), train.group(2)),
+        np.vstack([train.features, test.features]))
     actual_pi2 = np.array([lab == ds.label_set[1] for ds in (train, test)
                            for lab in ds.labels])
     out: dict[str, DatasetErrors] = {}

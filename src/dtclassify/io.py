@@ -6,7 +6,8 @@ names ``[section].key`` when a value does not parse, and checks the
 required keys. Inline ``;`` comments are allowed. Which keys go together
 is not io's to say: the specs built from the values (``CovarianceSpec``,
 ``ScenarioSpec``, ``InnovationSpec``, ``ExperimentConfig``) are the only
-validators, and io adds the section's name to their errors.
+validators, and io adds to their errors the config paths of the fields
+they name (``PATHS``), else the section's name.
 
 All numeric output uses Python's shortest round-trip float formatting so
 result files are diffable across runs and platforms.
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .classify import check_d_dimension
 from .covariance import CovarianceSpec
 from .errors import ConfigError, SingularityError, ValidationError
 from .harness import CLASSIFIER_IDS, ExperimentConfig, ExperimentResult
@@ -77,6 +79,10 @@ SCHEMA = {
 # sections only bind when present
 REQUIRED = {"experiment": ("p", "n1", "n2", "seed"), "classifiers": ("list",)}
 
+# the config paths of the spec fields that a spec's error may name
+PATHS = {"p": "[experiment].p", "n0": "[scenario].n0",
+         "classifiers": "[classifiers].list"}
+
 
 def _parse(section: str, key: str, raw: str):
     try:
@@ -115,12 +121,14 @@ def _read(path) -> dict[str, dict]:
     return values
 
 
-def _spec(section: str, build, *args):
-    """``build(*args)``, with ``[section]`` named on a ValidationError."""
+def _spec(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its error (a broken D-rule limit too) a
+    ConfigError at the config paths of its ``fields``, else at ``where``."""
     try:
-        return build(*args)
-    except ValidationError as exc:
-        raise ConfigError(f"[{section}]: {exc}") from exc
+        return build(*args, **kwargs)
+    except (ValidationError, SingularityError) as exc:
+        where = ", ".join(PATHS[name] for name in exc.fields) or where
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -129,39 +137,33 @@ def parse_config(path) -> ExperimentConfig:
     exp = values["experiment"]
     p, n1, n2 = exp["p"], exp["n1"], exp["n2"]
     cov = values.get("covariance", {})
-    covariance = _spec("covariance", CovarianceSpec,
+    covariance = _spec("[covariance]", CovarianceSpec,
                        cov.get("kind", "identity"), p, cov.get("rho"),
                        cov.get("sigmas"))
     sc = values.get("scenario", {})
-    scenario = _spec("scenario", ScenarioSpec, sc.get("kind", "delocalized"),
+    scenario = _spec("[scenario]", ScenarioSpec, sc.get("kind", "delocalized"),
                      sc.get("n0", 10), sc.get("redraw_mu2", True))
     inn = values.get("innovation", {})
-    innov1 = _spec("innovation", InnovationSpec, inn.get("kind", "normal"),
+    innov1 = _spec("[innovation]", InnovationSpec, inn.get("kind", "normal"),
                    inn.get("df"), inn.get("negate", False))
     if "kind2" in inn:
-        innov2 = _spec("innovation", InnovationSpec, inn["kind2"],
+        innov2 = _spec("[innovation]", InnovationSpec, inn["kind2"],
                        inn.get("df2"), inn.get("negate2", False))
     elif "df2" in inn or "negate2" in inn:
         raise ConfigError("[innovation]: df2 and negate2 need kind2")
     else:
         innov2 = innov1
-    if "classifiers" in values:
-        classifiers = values["classifiers"]["list"]
-    elif p < n1 + n2 - 2:
-        classifiers = CLASSIFIER_IDS
-    else:  # the D-rule needs p < n1+n2-2
-        classifiers = tuple(c for c in CLASSIFIER_IDS if c != "d")
-    try:
-        return ExperimentConfig(
-            p=p, n1=n1, n2=n2, covariance=covariance, scenario=scenario,
-            innovation1=innov1, innovation2=innov2, classifiers=classifiers,
-            m1=exp.get("m1"), m2=exp.get("m2"), reps=exp.get("reps", 1000),
-            master_seed=exp["seed"],
-        )
-    # the D-rule's dimension limit is checked here, before any arithmetic,
-    # so a config that breaks it is a config error
-    except (ValidationError, SingularityError) as exc:
-        raise ConfigError(str(exc)) from exc
+    try:  # by default every rule, less the D-rule past its dimension limit
+        check_d_dimension(p, n1, n2)
+        default = CLASSIFIER_IDS
+    except SingularityError:
+        default = tuple(c for c in CLASSIFIER_IDS if c != "d")
+    classifiers = values.get("classifiers", {}).get("list", default)
+    return _spec("", ExperimentConfig,
+                 p=p, n1=n1, n2=n2, covariance=covariance, scenario=scenario,
+                 innovation1=innov1, innovation2=innov2,
+                 classifiers=classifiers, m1=exp.get("m1"), m2=exp.get("m2"),
+                 reps=exp.get("reps", 1000), master_seed=exp["seed"])
 
 
 def parse_output_options(path, override_dir=None, override_formats=None

@@ -307,10 +307,11 @@ def _fig2_row(panel: str, config: ExperimentConfig, result) -> dict:
 
 
 def _fig5(reps: int, master_seed: int) -> list:
+    # rows read only group 1's errors, drawn first, so m2 = 2 changes none
     return [(ExperimentConfig(
         p=500, n1=n1, n2=n1 + 100, covariance=CovarianceSpec.identity(500),
         scenario=ScenarioSpec("delocalized", n0=10),
-        innovation1=innov, innovation2=innov,
+        innovation1=innov, innovation2=innov, m2=2,
         classifiers=("t",), reps=reps, master_seed=master_seed,
         theory_overlay=False,
     ), partial(_fig5_row, panel))

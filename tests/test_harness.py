@@ -18,8 +18,9 @@ from dtclassify.errors import ConditioningError, DomainError, SingularityError
 from dtclassify.harness import (
     ExperimentConfig,
     classify_dataset,
+    fit_rows,
+    fitted_rule_statistics,
     pooled_variances_from_data,
-    rule_statistics,
     run_experiment,
     run_replication,
     theory_predictions,
@@ -699,7 +700,10 @@ class TestClassifyDataset:
 
         monkeypatch.setattr(classify, "fit", counted_fit)
         truth = (np.zeros(3), np.ones(3), np.eye(3))
-        out = rule_statistics(("d", "t", "nb", "oracle"), X, Y, Z, truth)
+        rules = ("d", "t", "nb", "oracle")
+        stats = fit_rows(rules, X, Y)
+        stats.truth = truth
+        out = fitted_rule_statistics(rules, stats, Z)
         assert fits == [{"need_scatter": True}]
         stats = real_fit(X, Y)
         expected = {

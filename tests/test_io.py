@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dtclassify
+from dtclassify import cli
 from dtclassify import io as dtio
 from dtclassify.covariance import CovarianceSpec
 from dtclassify.data import ingest_csv
@@ -160,6 +161,21 @@ class TestParseConfig:
         path = write(tmp_path, MINIMAL.replace("p = 10", "p = 6"))
         with pytest.raises(ConfigError, match="n0 = 10, p = 6"):
             dtio.parse_config(path)
+
+    @pytest.mark.parametrize("text,paths", [
+        (MINIMAL.replace("p = 10", "p = 0"), ["[experiment].p"]),
+        (MINIMAL.replace("p = 10", "p = 6"),
+         ["[scenario].n0", "[experiment].p"]),
+        (MINIMAL + "\n[classifiers]\nlist = d,svm\n", ["[classifiers].list"]),
+        (MINIMAL + "\n[classifiers]\nlist = t,d,t\n", ["[classifiers].list"]),
+    ], ids=["p-below-one", "n0-above-p", "unknown-id", "repeated-id"])
+    def test_error_names_its_config_keys(self, tmp_path, capsys, text, paths):
+        code = cli.main(["simulate", "--config", str(write(tmp_path, text)),
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        for path in paths:
+            assert path in err
 
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md"

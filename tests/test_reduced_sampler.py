@@ -289,14 +289,17 @@ class TestLinearForms:
         return X, Y, Z
 
     def test_forms_equal_the_statistics(self, data):
+        # one record, fitted for every rule, feeds both the rule table's
+        # row statistics and the linear forms
         X, Y, Z = data
-        stats = classify.fit(X, Y)
+        stats = harness.fit_rows(RULES, X, Y)
         mu1, mu2 = np.zeros(5), np.full(5, 0.7)
         sigma_inv = np.linalg.inv(build_covariance(CovarianceSpec.ar1(5, 0.4)))
         A = classify.pooled_scatter(X, Y)
-        forms = classify.linear_forms(
-            RULES, stats, np.linalg.solve(A, stats.mean_x - stats.mean_y),
-            pooled_variances_from_data(X, Y), (mu1, mu2, sigma_inv))
+        stats.direction = np.linalg.solve(A, stats.mean_x - stats.mean_y)
+        stats.truth = (mu1, mu2, sigma_inv)
+        forms = classify.linear_forms(RULES, stats)
+        rows = harness.fitted_rule_statistics(RULES, stats, Z)
         direct = {
             "d": classify.d_statistics(stats, Z),
             "t": classify.t_statistics(stats, Z),
@@ -304,8 +307,10 @@ class TestLinearForms:
                 stats, pooled_variances_from_data(X, Y), Z),
             "oracle": classify.oracle_statistics(mu1, mu2, sigma_inv, Z),
         }
-        assert list(forms) == list(RULES)
+        assert list(forms) == list(rows) == list(RULES)
         for rule, (c, w) in forms.items():
+            np.testing.assert_array_equal(rows[rule], direct[rule],
+                                          err_msg=rule)
             np.testing.assert_allclose(c + Z @ w, direct[rule], rtol=1e-10,
                                        err_msg=rule)
 

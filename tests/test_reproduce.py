@@ -1,12 +1,14 @@
 """Reproduction targets: report structure and reference bookkeeping."""
 
+import dataclasses
 import importlib
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dtclassify.errors import DomainError
-from dtclassify.harness import trace_inputs
+from dtclassify.harness import run_experiment, trace_inputs
 from dtclassify.reproduce import (
     REFERENCE_TABLE1,
     REFERENCE_TABLE3,
@@ -120,3 +122,16 @@ class TestReports:
             inputs = trace_inputs(config)
             for variant in ("v1", "v2", "v3"):
                 assert row[f"phi_{variant}"] == t_misclass(inputs, variant)
+
+    @pytest.mark.parametrize("point", [0, 10], ids=["normal", "gamma"])
+    def test_fig5_group_one_errors_need_no_group_two_rows(self, point):
+        # fig5 reports only the group-1 error, so its configs draw two
+        # group-2 test rows; group 1's rows come first, so its counts are
+        # those of the full m2 = n2
+        config, _ = reproduce_module._fig5(3, 20240901)[point]
+        full = dataclasses.replace(config, m2=config.n2)
+        assert config.test2 == 2 and full.test2 == config.n1 + 100
+        few = run_experiment(config).classifiers["t"].per_rep_errors_pi1
+        pi1 = run_experiment(full).classifiers["t"].per_rep_errors_pi1
+        assert pi1.any()
+        np.testing.assert_array_equal(few, pi1)
