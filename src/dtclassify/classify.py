@@ -59,11 +59,17 @@ class TrainedStats:
 
     @property
     def alpha1(self) -> float:
-        return self.n1 / (self.n1 + 1.0)
+        return alpha(self.n1)
 
     @property
     def alpha2(self) -> float:
-        return self.n2 / (self.n2 + 1.0)
+        return alpha(self.n2)
+
+
+def alpha(n: int) -> float:
+    """alpha_g = n_g / (n_g + 1), the weight both rules (and the trace
+    rule's limit) give group g's distance."""
+    return n / (n + 1.0)
 
 
 def fit(X, Y, need_scatter: bool = True) -> TrainedStats:
@@ -203,6 +209,7 @@ def d_criterion_det(X, Y, z) -> float:
     Xc, Yc = X - xbar, Y - ybar
     A = Xc.T @ Xc + Yc.T @ Yc
     rx, ry = z - xbar, z - ybar
+    # alpha written out, not read from ``alpha``, so the oracle stays apart
     A1 = A + (n1 / (n1 + 1.0)) * np.outer(rx, rx)
     A2 = A + (n2 / (n2 + 1.0)) * np.outer(ry, ry)
     s1, ld1 = np.linalg.slogdet(A1)

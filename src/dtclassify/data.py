@@ -111,6 +111,7 @@ def ingest_csv(features_path, labels_path=None, label_column: str | None = None,
                 f"expected {width}"
             )
 
+    col = None  # the label column's index when labels come from the file
     if label_column is not None:
         if header is None:
             raise DataError("label_column requires a header row")
@@ -121,12 +122,8 @@ def ingest_csv(features_path, labels_path=None, label_column: str | None = None,
                 f"label column {label_column!r} not found in header"
             ) from None
         labels = [row[col] for row in rows]
-        feature_cols = [j for j in range(width) if j != col]
-        names = tuple(header[j] for j in feature_cols)
-        feats = np.array(
-            [[_parse_number(row[j], f"row {i + 1}, column {header[j]}")
-              for j in feature_cols] for i, row in enumerate(rows)]
-        )
+        names = tuple(h for j, h in enumerate(header) if j != col)
+        column = header
     else:
         label_rows = _read_rows(labels_path)
         if _is_header(label_rows[0]) and len(label_rows) == len(rows) + 1:
@@ -138,15 +135,14 @@ def ingest_csv(features_path, labels_path=None, label_column: str | None = None,
             )
         labels = [row[0].strip() for row in label_rows]
         names = tuple(header) if header is not None else None
-        feats = np.array(
-            [[_parse_number(cell, f"row {i + 1}, column {j + 1}")
-              for j, cell in enumerate(row)] for i, row in enumerate(rows)]
-        )
+        column = range(1, width + 1)
+    feats = np.array(
+        [[_parse_number(cell, f"row {i + 1}, column {column[j]}")
+          for j, cell in enumerate(row) if j != col]
+         for i, row in enumerate(rows)]
+    )
 
-    distinct: list[str] = []
-    for lab in labels:
-        if lab not in distinct:
-            distinct.append(lab)
+    distinct = list(dict.fromkeys(labels))
     if len(distinct) != 2:
         raise DataError(f"expected exactly 2 labels, found {distinct}")
     if positive_label is not None:

@@ -77,6 +77,24 @@ DATASET_CLASSIFIER_IDS = tuple(c for c in CLASSIFIER_IDS if c != "oracle")
 # stream below draws a fixed delocalized mu2 when redraw_mu2 is off.
 FIXED_MU_STREAM = 2**32 - 1
 
+
+def check_classifiers(classifiers, valid) -> None:
+    """Raise DomainError unless ``classifiers`` lists ids from ``valid``,
+    at least one and none twice."""
+    unknown = set(classifiers) - set(valid)
+    if unknown:
+        raise DomainError(f"unknown classifier id(s) {sorted(unknown)}; "
+                          f"valid ids are {valid}", fields=("classifiers",))
+    if not classifiers:
+        raise DomainError("at least one classifier is required",
+                          fields=("classifiers",))
+    repeated = {c for c in classifiers if classifiers.count(c) > 1}
+    if repeated:
+        raise DomainError(
+            f"classifier id(s) listed more than once: {sorted(repeated)}",
+            fields=("classifiers",))
+
+
 def _pin_one_blas_thread() -> int:
     """Set numpy's OpenBLAS to one thread; return the thread count it had.
 
@@ -119,19 +137,7 @@ class ExperimentConfig:
                 raise DomainError(f"{name} must be >= 2, got {size}")
         if self.reps < 1:
             raise DomainError(f"reps must be >= 1, got {self.reps}")
-        unknown = set(self.classifiers) - set(CLASSIFIER_IDS)
-        if unknown:
-            raise DomainError(f"unknown classifier id(s) {sorted(unknown)}; "
-                              f"valid ids are {CLASSIFIER_IDS}",
-                              fields=("classifiers",))
-        if not self.classifiers:
-            raise DomainError("at least one classifier is required")
-        repeated = {c for c in self.classifiers
-                    if self.classifiers.count(c) > 1}
-        if repeated:
-            raise DomainError(
-                f"classifier id(s) listed more than once: {sorted(repeated)}",
-                fields=("classifiers",))
+        check_classifiers(self.classifiers, CLASSIFIER_IDS)
         if "d" in self.classifiers:
             classify.check_d_dimension(self.p, self.n1, self.n2)
         if self.scenario.n0 > self.p:
@@ -614,11 +620,7 @@ def classify_dataset(train, test, classifiers=("t",)
         raise DomainError("train and test label sets differ")
     test = test.with_label_order(train.label_set)
 
-    unknown = set(classifiers) - set(DATASET_CLASSIFIER_IDS)
-    if unknown:
-        raise DomainError(
-            f"classifier id(s) {sorted(unknown)} not usable on real data"
-        )
+    check_classifiers(classifiers, DATASET_CLASSIFIER_IDS)
     scores = fitted_rule_statistics(
         classifiers, fit_rows(classifiers, train.group(1), train.group(2)),
         np.vstack([train.features, test.features]))

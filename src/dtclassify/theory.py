@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import alpha
 from .covariance import (
     CovarianceSpec,
     MixingMatrix,
@@ -233,53 +234,35 @@ class TheoryInputsT:
                    theta_x=innov1.theta, theta_y=innov2.theta,
                    gamma_x=innov1.gamma4, gamma_y=innov2.gamma4)
 
-    @property
-    def alpha1(self) -> float:
-        return self.n1 / (self.n1 + 1.0)
-
-    @property
-    def alpha2(self) -> float:
-        return self.n2 / (self.n2 + 1.0)
-
-
-def t_variance_terms(variant: str, tr_sigma2: float, delta_sigma_delta: float,
-                     ones_gamma3_delta: float, n1: int, n2: int,
-                     theta_x: float = 0.0, theta_y: float = 0.0,
-                     gamma_x: float = 3.0, gamma_y: float = 3.0) -> float:
-    """Trace-rule variance from its three structural ingredients."""
-    if variant not in VARIANCE_VARIANTS:
-        raise DomainError(f"unknown variance variant {variant!r}")
-    if variant == "v3":
-        return 4.0 * delta_sigma_delta
-    if variant == "v2":
-        return (4.0 * (1.0 / n1 + 1.0 / n2) * tr_sigma2
-                + 4.0 * (1.0 - 1.0 / n2) * delta_sigma_delta)
-    if variant == "v1":
-        return (4.0 * (1.0 / n1 + 1.0 / n2) * tr_sigma2
-                + 4.0 * theta_x * (1.0 / n2 - 1.0 / n1) * ones_gamma3_delta
-                + 4.0 * (1.0 - 1.0 / n2) * delta_sigma_delta)
-    a1 = n1 / (n1 + 1.0)
-    a2 = n2 / (n2 + 1.0)
-    beta0 = (a1**2 * (6.0 * n1**2 + 3.0 * n1 - 3.0) / n1**3
-             + a2**2 * (6.0 * n2**2 + 3.0 * n2 - 3.0) / n2**3
-             + 2.0 * (a1 * a2 - 1.0))
-    beta1 = gamma_x * (a1**2 / n1**3 + (a1 - a2) ** 2) + a2**2 * gamma_y / n2**3
-    beta2 = 4.0 * a2 * (a1 - a2) * theta_x + 4.0 * theta_y / n2**2
-    return ((beta0 + beta1) * tr_sigma2 + beta2 * ones_gamma3_delta
-            + 4.0 * a2 * delta_sigma_delta)
-
 
 def t_variance(inputs: TheoryInputsT, variant: str) -> float:
     """Variance B_p^2 of the trace-rule statistic, per the chosen variant."""
+    if variant not in VARIANCE_VARIANTS:
+        raise DomainError(f"unknown variance variant {variant!r}")
     if variant == "full" and inputs.sigma.kind not in FULL_VARIANCE_KINDS:
         raise DomainError(
             "the exact-moment variance assumes a diagonal covariance"
         )
-    return t_variance_terms(variant, inputs.tr_sigma2,
-                            inputs.delta_sigma_delta, inputs.ones_gamma3_delta,
-                            inputs.n1, inputs.n2,
-                            inputs.theta_x, inputs.theta_y,
-                            inputs.gamma_x, inputs.gamma_y)
+    n1, n2, tr_sigma2 = inputs.n1, inputs.n2, inputs.tr_sigma2
+    dsd, g3d = inputs.delta_sigma_delta, inputs.ones_gamma3_delta
+    if variant == "v3":
+        return 4.0 * dsd
+    if variant == "v2":
+        return (4.0 * (1.0 / n1 + 1.0 / n2) * tr_sigma2
+                + 4.0 * (1.0 - 1.0 / n2) * dsd)
+    if variant == "v1":
+        return (4.0 * (1.0 / n1 + 1.0 / n2) * tr_sigma2
+                + 4.0 * inputs.theta_x * (1.0 / n2 - 1.0 / n1) * g3d
+                + 4.0 * (1.0 - 1.0 / n2) * dsd)
+    a1, a2 = alpha(n1), alpha(n2)
+    beta0 = (a1**2 * (6.0 * n1**2 + 3.0 * n1 - 3.0) / n1**3
+             + a2**2 * (6.0 * n2**2 + 3.0 * n2 - 3.0) / n2**3
+             + 2.0 * (a1 * a2 - 1.0))
+    beta1 = (inputs.gamma_x * (a1**2 / n1**3 + (a1 - a2) ** 2)
+             + a2**2 * inputs.gamma_y / n2**3)
+    beta2 = (4.0 * a2 * (a1 - a2) * inputs.theta_x
+             + 4.0 * inputs.theta_y / n2**2)
+    return (beta0 + beta1) * tr_sigma2 + beta2 * g3d + 4.0 * a2 * dsd
 
 
 def t_misclass(inputs: TheoryInputsT, variant: str = "v1") -> float:
@@ -287,7 +270,7 @@ def t_misclass(inputs: TheoryInputsT, variant: str = "v1") -> float:
     var = t_variance(inputs, variant)
     if var <= 0.0:
         raise DomainError(f"nonpositive variance {var:.3g}")
-    return normal_cdf(-inputs.alpha2 * inputs.norm2 / np.sqrt(var))
+    return normal_cdf(-alpha(inputs.n2) * inputs.norm2 / np.sqrt(var))
 
 
 def exact_trace_moments(inputs: TheoryInputsT) -> tuple[float, float]:
@@ -297,7 +280,7 @@ def exact_trace_moments(inputs: TheoryInputsT) -> tuple[float, float]:
     -alpha2 ||delta||^2 and the variance is the exact-moment ("full")
     variance. Requires a diagonal covariance.
     """
-    mean = -inputs.alpha2 * inputs.norm2
+    mean = -alpha(inputs.n2) * inputs.norm2
     return mean, t_variance(inputs, "full")
 
 

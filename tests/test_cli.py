@@ -223,6 +223,16 @@ class TestClassify:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_repeated_classifier_exits_one(self, tmp_path, capsys):
+        rng = np.random.default_rng(42)
+        tr_x, tr_y = write_dataset(tmp_path, rng, "train")
+        code = main(["classify", "--train", str(tr_x),
+                     "--train-labels", str(tr_y),
+                     "--test", str(tr_x), "--test-labels", str(tr_y),
+                     "--classifier", "t", "--classifier", "t"])
+        assert code == 1
+        assert "more than once: ['t']" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_unknown_target_is_usage_error(self):

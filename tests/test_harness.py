@@ -723,6 +723,15 @@ class TestClassifyDataset:
         with pytest.raises(DomainError):
             classify_dataset(train, train, ("oracle",))
 
+    def test_repeated_or_empty_classifier_list_rejected(self):
+        # the same rule-list check as ExperimentConfig's
+        rng = np.random.default_rng(37)
+        train = toy_dataset(rng, 10, 4, 8.0)
+        with pytest.raises(DomainError, match=r"more than once: \['t'\]"):
+            classify_dataset(train, train, ("t", "t"))
+        with pytest.raises(DomainError, match="at least one classifier"):
+            classify_dataset(train, train, ())
+
     def test_mismatched_label_sets(self):
         rng = np.random.default_rng(35)
         train = toy_dataset(rng, 10, 4, 8.0, labels=("a", "b"))

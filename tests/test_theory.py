@@ -16,7 +16,6 @@ from dtclassify.theory import (
     normal_cdf,
     t_misclass,
     t_variance,
-    t_variance_terms,
     tau,
     theta1,
     theta2,
@@ -84,39 +83,46 @@ class TestDeterminantRule:
             tau(TheoryInputsD(0.5, 0.5, 0.0))
 
 
+def terms(tr_sigma2, dsd, g3d, n1, n2, **innovations):
+    """Inputs with the three structural terms given directly; the identity
+    Sigma lets every variant, "full" too, be taken of them."""
+    return TheoryInputsT(CovarianceSpec.identity(1), n1, n2, tr_sigma2, dsd,
+                         g3d, norm2=0.0, **innovations)
+
+
 class TestTraceRuleVariance:
     def test_v3_is_leading_term_only(self):
-        assert t_variance_terms("v3", 100.0, 5.0, 1.0, 50, 50) == 20.0
+        assert t_variance(terms(100.0, 5.0, 1.0, 50, 50), "v3") == 20.0
 
     def test_v2_hand_value(self):
         # p = 500, n1 = n2 = 100, Sigma = I, ||delta||^2 = dsd = 10:
         # 4 (2/100) 500 + 4 (1 - 1/100) 10 = 79.6
-        assert t_variance_terms("v2", 500.0, 10.0, 0.0, 100, 100) == \
+        assert t_variance(terms(500.0, 10.0, 0.0, 100, 100), "v2") == \
             pytest.approx(79.6)
 
     def test_v1_reduces_to_v2_for_symmetric_innovations(self):
         args = (500.0, 10.0, 7.0, 100, 200)
-        assert t_variance_terms("v1", *args, theta_x=0.0) == \
-            pytest.approx(t_variance_terms("v2", *args))
+        assert t_variance(terms(*args, theta_x=0.0), "v1") == \
+            pytest.approx(t_variance(terms(*args), "v2"))
         # and the skewness term drops for balanced designs regardless
         bal = (500.0, 10.0, 7.0, 150, 150)
-        assert t_variance_terms("v1", *bal, theta_x=2.0) == \
-            pytest.approx(t_variance_terms("v2", *bal))
+        assert t_variance(terms(*bal, theta_x=2.0), "v1") == \
+            pytest.approx(t_variance(terms(*bal), "v2"))
 
     def test_truncations_converge_to_v3(self):
         # V1, V2 -> V3 as both sample sizes grow
-        v3 = t_variance_terms("v3", 500.0, 10.0, 3.0, 10**7, 10**7)
-        v1 = t_variance_terms("v1", 500.0, 10.0, 3.0, 10**7, 10**7,
-                              theta_x=2.0)
+        v3 = t_variance(terms(500.0, 10.0, 3.0, 10**7, 10**7), "v3")
+        v1 = t_variance(terms(500.0, 10.0, 3.0, 10**7, 10**7, theta_x=2.0),
+                        "v1")
         assert v1 == pytest.approx(v3, rel=1e-3)
 
     def test_full_close_to_v1_for_moderate_samples(self):
         # the exact-moment variance keeps O(1/n^2) corrections only
         for n in (100, 400):
-            full = t_variance_terms("full", 500.0, 10.0, 3.0, n, n,
+            full = t_variance(terms(500.0, 10.0, 3.0, n, n,
                                     theta_x=2.0, theta_y=2.0,
-                                    gamma_x=9.0, gamma_y=9.0)
-            v1 = t_variance_terms("v1", 500.0, 10.0, 3.0, n, n, theta_x=2.0)
+                                    gamma_x=9.0, gamma_y=9.0), "full")
+            v1 = t_variance(terms(500.0, 10.0, 3.0, n, n, theta_x=2.0), "v1")
             assert abs(full - v1) < 6000.0 / n**2
 
     def test_full_requires_diagonal_structure(self):
@@ -127,7 +133,7 @@ class TestTraceRuleVariance:
 
     def test_unknown_variant(self):
         with pytest.raises(DomainError):
-            t_variance_terms("v4", 1.0, 1.0, 1.0, 10, 10)
+            t_variance(terms(1.0, 1.0, 1.0, 10, 10), "v4")
 
     def test_terms_match_dense_computation(self):
         sig = np.array([0.5, 1.0, 1.5, 2.0])
