@@ -28,6 +28,7 @@ from .data import ingest_csv
 from .reproduce import TARGETS, reproduce
 from .theory import (
     FULL_VARIANCE_KINDS,
+    VARIANCE_VARIANTS,
     TheoryInputsD,
     normal_cdf,
     t_misclass,
@@ -47,6 +48,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def formats(raw: str) -> tuple[str, ...]:
+    """``--formats``: a comma-separated subset of the output formats."""
+    items = dtio._list(raw)
+    bad = set(items) - set(dtio.OUTPUT_FORMATS)
+    if bad:
+        raise argparse.ArgumentTypeError(f"unknown format(s) {sorted(bad)}")
+    return items
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dtclassify",
                      description="Determinant/trace two-group classification "
@@ -60,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None, help="output directory "
                      f"(default: [output].directory, then "
                      f"${dtio.ENV_OUTPUT_DIR}, then cwd)")
-    sim.add_argument("--formats", default=None,
-                     help="comma-separated subset of csv,json")
+    sim.add_argument("--formats", type=formats, default=None,
+                     help="comma-separated subset of "
+                     f"{','.join(dtio.OUTPUT_FORMATS)}")
     sim.add_argument("--id", dest="experiment_id", default="experiment")
 
     theory = sub.add_parser("theory", help="print asymptotic predictions")
@@ -73,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     td.add_argument("--delta2", type=float, required=True)
     tt = tsub.add_parser("t", help="trace-rule limit from a config file")
     tt.add_argument("--config", required=True)
-    tt.add_argument("--variant", choices=("v1", "v2", "v3", "full", "all"),
+    tt.add_argument("--variant", choices=VARIANCE_VARIANTS + ("all",),
                     default="all")
 
     cls = sub.add_parser("classify", help="train/test on labeled CSV data")
@@ -101,10 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     config = dtio.parse_config(args.config)
-    formats = (tuple(tok.strip() for tok in args.formats.split(","))
-               if args.formats else None)
     options = dtio.parse_output_options(args.config, override_dir=args.out,
-                                        override_formats=formats)
+                                        override_formats=args.formats)
     result = run_experiment(config, workers=args.workers)
     written = dtio.emit_results(result, options.formats, options.directory,
                                 experiment_id=args.experiment_id)
@@ -134,7 +143,7 @@ def _cmd_theory_d(args) -> int:
 def _cmd_theory_t(args) -> int:
     config = dtio.parse_config(args.config)
     inputs = trace_inputs(config)
-    variants = (("v1", "v2", "v3", "full") if args.variant == "all"
+    variants = (VARIANCE_VARIANTS if args.variant == "all"
                 else (args.variant,))
     for variant in variants:
         if variant == "full" and config.covariance.kind not in \
@@ -169,7 +178,7 @@ def _cmd_reproduce(args) -> int:
         path = dtio.emit_report(report, args.out)
         print(f"wrote {path}")
     else:
-        print("\n".join(dtio.csv_lines(report.columns(), report.rows)))
+        print("\n".join(dtio.csv_lines(report.rows)))
     return 0
 
 

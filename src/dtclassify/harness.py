@@ -51,6 +51,7 @@ from .covariance import (
     trace_and_sum,
     trace_sigma_squared,
 )
+from .data import LabeledDataset
 from .errors import DomainError, NumericalError
 from .model import (
     InnovationSpec,
@@ -607,8 +608,6 @@ def classify_dataset(train, test, classifiers=("t",)
     The oracle classifier is not available here (true parameters unknown);
     the D-criterion requires p < n_train - 2.
     """
-    from .data import LabeledDataset  # local import to avoid a cycle
-
     if not isinstance(train, LabeledDataset) or not isinstance(
             test, LabeledDataset):
         raise DomainError("train and test must be LabeledDataset instances")

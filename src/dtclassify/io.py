@@ -190,17 +190,19 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def csv_lines(columns: list[str], rows: list[dict]):
-    """The header, then one line per row: strings as they are, else ``fmt``."""
+def csv_lines(rows: list[dict]):
+    """The header, the first row's keys in order, then one line per row:
+    strings as they are, else ``fmt``. Every row has the same keys."""
+    columns = list(rows[0])
     yield ",".join(columns)
     for row in rows:
-        yield ",".join(row[col] if isinstance(row.get(col), str)
-                       else fmt(row.get(col)) for col in columns)
+        yield ",".join(row[col] if isinstance(row[col], str)
+                       else fmt(row[col]) for col in columns)
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]):
+def _write_csv(path: Path, rows: list[dict]):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in csv_lines(columns, rows))
+        fh.writelines(line + "\n" for line in csv_lines(rows))
 
 
 def _innovation_record(spec: InnovationSpec) -> dict:
@@ -251,8 +253,7 @@ def emit_results(result: ExperimentResult, formats, out_dir,
                 "theory_pred_pct": r.theory_pred_pct,
             })
         path = out / f"{experiment_id}_results.csv"
-        _write_csv(path, ["experiment_id", "classifier", "median_error_pct",
-                          "se_pct", "reps", "theory_pred_pct"], rows)
+        _write_csv(path, rows)
         written.append(path)
 
     if "json" in formats:
@@ -285,5 +286,5 @@ def emit_report(report: ReproReport, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{report.target}.csv"
-    _write_csv(path, report.columns(), report.rows)
+    _write_csv(path, report.rows)
     return path

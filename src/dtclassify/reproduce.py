@@ -24,8 +24,6 @@ from .harness import (
 from .model import InnovationSpec, ScenarioSpec
 from .theory import TheoryInputsD, normal_cdf, t_misclass, theta1, theta2
 
-TARGETS = ("table1", "table2", "table3", "table4", "fig1", "fig2", "fig5")
-
 TABLE_DEFAULT_REPS = 1000
 FIGURE_DEFAULT_REPS = 10000
 
@@ -131,16 +129,6 @@ REFERENCE_TABLE4 = {
     400: (7.88, 1.01), 450: (7.56, 0.95), 500: (7.40, 0.89),
 }
 
-# Correlation tables: (covariance kind, innovation law, reference, rules).
-CORR_TABLES = {
-    "table1": ("equal_corr", InnovationSpec("normal"), REFERENCE_TABLE1,
-               ("d", "nb", "oracle", "t")),
-    "table2": ("equal_corr", InnovationSpec("student_t", df=7),
-               REFERENCE_TABLE2, ("d", "nb", "oracle", "t")),
-    "table3": ("ar1", InnovationSpec("normal"), REFERENCE_TABLE3,
-               ("d", "oracle", "t")),
-}
-
 # Leukemia dataset: method -> (train errors, test errors, genes used).
 REFERENCE_TABLE5 = {
     "t": (0, 2, 7129), "road": (0, 1, 40), "scrda": (1, 2, 264),
@@ -155,14 +143,6 @@ class ReproReport:
     target: str
     reps: int
     rows: list[dict] = field(default_factory=list)
-
-    def columns(self) -> list[str]:
-        cols: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        return cols
 
 
 def _scaled_reps(base: int, scale: float) -> int:
@@ -186,20 +166,15 @@ def reproduce(target: str, scale: float = 1.0, table_reps: int | None = None,
     """
     if target not in TARGETS:
         raise DomainError(f"unknown target {target!r}; choose from {TARGETS}")
-    if target in ("table1", "table2", "table3", "table4"):
-        reps = _scaled_reps(TABLE_DEFAULT_REPS if table_reps is None
-                            else table_reps, scale)
-    elif table_reps is not None:
-        raise DomainError(f"--reps applies to the tables only; {target} runs "
-                          f"{FIGURE_DEFAULT_REPS} x scale replications, so "
-                          "set --scale")
-    else:
-        reps = _scaled_reps(FIGURE_DEFAULT_REPS, scale)
-    if target in CORR_TABLES:
-        grid = _corr_table(target, reps, master_seed)
-    else:
-        grid = {"table4": _table4, "fig1": _fig1, "fig2": _fig2,
-                "fig5": _fig5}[target](reps, master_seed)
+    base, build = GRIDS[target]
+    if table_reps is not None:
+        if base != TABLE_DEFAULT_REPS:
+            raise DomainError(f"--reps applies to the tables only; {target} "
+                              f"runs {base} x scale replications, so set "
+                              "--scale")
+        base = table_reps
+    reps = _scaled_reps(base, scale)
+    grid = build(reps, master_seed)
     report = ReproReport(target, reps)
     # each point leaves the grid when it runs, so that its config and the
     # config's lazy members (Gamma, Sigma^-1) are freed with its row
@@ -214,9 +189,9 @@ def reproduce(target: str, scale: float = 1.0, table_reps: int | None = None,
 # Each target's grid is a list of (config, row), where row(config, result)
 # gives the config's report row from its ExperimentResult.
 
-def _corr_table(target: str, reps: int, master_seed: int) -> list:
+def _corr_table(kind: str, innov: InnovationSpec, reference: dict,
+                classifiers: tuple, reps: int, master_seed: int) -> list:
     """Equal-correlation (tables 1-2) and AR(1) (table 3) grids."""
-    kind, innov, reference, classifiers = CORR_TABLES[target]
     return [(ExperimentConfig(
         p=125, n1=250, n2=250, covariance=CovarianceSpec(kind, 125, rho=rho),
         scenario=ScenarioSpec("delocalized", n0=10),
@@ -255,12 +230,16 @@ def _table4_row(config: ExperimentConfig, result) -> dict:
             "ref_t_median": med, "ref_t_se": se}
 
 
-def _fig1_config(p: int, n1: int, n2: int, reps: int, master_seed: int
-                 ) -> ExperimentConfig:
-    """Identity covariance with a flat mean shift sized so y / Delta^2 = 3/4."""
+def _fig_design(p: int, n1: int, n2: int) -> TheoryInputsD:
+    """The figures' design: Delta^2 = (4/3) y, so y / Delta^2 = 3/4."""
     n = n1 + n2 - 2
-    delta2 = (4.0 / 3.0) * (p / n)
-    mu2 = np.full(p, np.sqrt(delta2 / p))
+    return TheoryInputsD.from_design(p, n1, n2, (4.0 / 3.0) * (p / n))
+
+
+def _fig_config(p: int, n1: int, n2: int, reps: int, master_seed: int
+                ) -> ExperimentConfig:
+    """Identity covariance with a flat mean shift of the design's Delta^2."""
+    mu2 = np.full(p, np.sqrt(_fig_design(p, n1, n2).delta2 / p))
     return ExperimentConfig(
         p=p, n1=n1, n2=n2, covariance=CovarianceSpec.identity(p),
         scenario=ScenarioSpec("delocalized", n0=min(10, p)),
@@ -269,41 +248,26 @@ def _fig1_config(p: int, n1: int, n2: int, reps: int, master_seed: int
     )
 
 
-def _fig1(reps: int, master_seed: int) -> list:
+def _fig(panels: tuple, reps: int, master_seed: int) -> list:
+    """Figures 1-2: one (panel, n1, n2) per panel, p = 50 .. 450 in each."""
     # total training size 500, so y spans 0.1 .. 0.9
-    return [(_fig1_config(p, 250, 250, reps, master_seed), _fig1_row)
-            for p in range(50, 451, 50)]
+    return [(_fig_config(p, n1, n2, reps, master_seed),
+             partial(_fig_row, panel))
+            for panel, n1, n2 in panels for p in range(50, 451, 50)]
 
 
-def _fig1_row(config: ExperimentConfig, result) -> dict:
-    n = config.n1 + config.n2 - 2
-    y = config.p / n
-    inputs = TheoryInputsD(y, config.n1 / n, (4.0 / 3.0) * y)
-    return {
-        "p": config.p, "x": y,
+def _fig_row(panel: str | None, config: ExperimentConfig, result) -> dict:
+    """A figure's row: with no panel, Phi(theta2) beside Phi(theta1); with
+    a panel, the panel first and no Phi(theta2)."""
+    inputs = _fig_design(config.p, config.n1, config.n2)
+    row = {
+        "panel": panel, "p": config.p, "x": inputs.y,
         "phi_theta1": normal_cdf(theta1(inputs)),
-        "phi_theta2": normal_cdf(theta2(y, inputs.delta2)),
+        "phi_theta2": normal_cdf(theta2(inputs.y, inputs.delta2)),
         "empirical": result.classifiers["d"].mean_error_pct / 100.0,
     }
-
-
-def _fig2(reps: int, master_seed: int) -> list:
-    return [(_fig1_config(p, n1, n2, reps, master_seed),
-             partial(_fig2_row, panel))
-            for panel, (n1, n2) in (("lambda_half", (250, 250)),
-                                    ("lambda_quarter", (125, 375)))
-            for p in range(50, 451, 50)]
-
-
-def _fig2_row(panel: str, config: ExperimentConfig, result) -> dict:
-    n = config.n1 + config.n2 - 2
-    inputs = TheoryInputsD(config.p / n, config.n1 / n,
-                           (4.0 / 3.0) * config.p / n)
-    return {
-        "panel": panel, "p": config.p, "x": config.p / n,
-        "phi_theta1": normal_cdf(theta1(inputs)),
-        "empirical": result.classifiers["d"].mean_error_pct / 100.0,
-    }
+    del row["panel" if panel is None else "phi_theta2"]
+    return row
 
 
 def _fig5(reps: int, master_seed: int) -> list:
@@ -330,3 +294,24 @@ def _fig5_row(panel: str, config: ExperimentConfig, result) -> dict:
     for variant in ("v1", "v2", "v3"):
         row[f"phi_{variant}"] = t_misclass(inputs, variant)
     return row
+
+
+# target -> (default replication count, grid builder(reps, master_seed))
+GRIDS = {
+    "table1": (TABLE_DEFAULT_REPS, partial(
+        _corr_table, "equal_corr", InnovationSpec("normal"), REFERENCE_TABLE1,
+        ("d", "nb", "oracle", "t"))),
+    "table2": (TABLE_DEFAULT_REPS, partial(
+        _corr_table, "equal_corr", InnovationSpec("student_t", df=7),
+        REFERENCE_TABLE2, ("d", "nb", "oracle", "t"))),
+    "table3": (TABLE_DEFAULT_REPS, partial(
+        _corr_table, "ar1", InnovationSpec("normal"), REFERENCE_TABLE3,
+        ("d", "oracle", "t"))),
+    "table4": (TABLE_DEFAULT_REPS, _table4),
+    # Figure 2's lambda = 1/2 panel is Figure 1's grid
+    "fig1": (FIGURE_DEFAULT_REPS, partial(_fig, ((None, 250, 250),))),
+    "fig2": (FIGURE_DEFAULT_REPS, partial(
+        _fig, (("lambda_half", 250, 250), ("lambda_quarter", 125, 375)))),
+    "fig5": (FIGURE_DEFAULT_REPS, _fig5),
+}
+TARGETS = tuple(GRIDS)

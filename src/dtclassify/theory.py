@@ -35,7 +35,7 @@ from .covariance import (
 from .errors import DomainError, SingularityError
 from .model import InnovationSpec
 
-VARIANCE_VARIANTS = ("full", "v1", "v2", "v3")
+VARIANCE_VARIANTS = ("v1", "v2", "v3", "full")
 # the covariance kinds the exact-moment ("full") variance holds for
 FULL_VARIANCE_KINDS = ("identity", "diagonal")
 

@@ -61,6 +61,17 @@ class TestSimulate:
         assert (tmp_path / "o" / "experiment_results.csv").exists()
         assert not (tmp_path / "o" / "experiment_result.json").exists()
 
+    def test_unknown_format_flag_names_the_flag(self, tmp_path, capsys):
+        config = write(tmp_path, SMALL)  # no [output] section
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(config),
+                  "--out", str(tmp_path / "o"), "--formats", "csv,xml"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --formats: unknown format(s) ['xml']" in err
+        assert "[output]" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_dimension_limit_is_validation_error(self, tmp_path, capsys):
         config = write(tmp_path, TOO_WIDE)
         code = main(["simulate", "--config", str(config),

@@ -9,6 +9,7 @@ import pytest
 
 from dtclassify.errors import DomainError
 from dtclassify.harness import run_experiment, trace_inputs
+from dtclassify.io import config_record, csv_lines
 from dtclassify.reproduce import (
     REFERENCE_TABLE1,
     REFERENCE_TABLE3,
@@ -17,10 +18,26 @@ from dtclassify.reproduce import (
     TARGETS,
     reproduce,
 )
-from dtclassify.theory import t_misclass
+from dtclassify.theory import TheoryInputsD, normal_cdf, t_misclass, theta1
 
 # the package root re-exports the function under the module's name
 reproduce_module = importlib.import_module("dtclassify.reproduce")
+
+
+def stub_rows(monkeypatch, target):
+    """A target's configs and rows, each row built on a stub result.
+
+    The theory columns depend on the config only, so no replication runs.
+    """
+    configs = []
+
+    def record(config, workers=1, pool=None):
+        configs.append(config)
+        stub = SimpleNamespace(mean_error_pct=0.0, mean_error_pi1_pct=0.0)
+        return SimpleNamespace(classifiers={"d": stub, "t": stub})
+
+    monkeypatch.setattr(reproduce_module, "run_experiment", record)
+    return configs, reproduce(target, scale=0.005).rows
 
 
 class TestBookkeeping:
@@ -96,7 +113,7 @@ class TestReports:
 
     def test_columns_preserve_first_seen_order(self):
         report = reproduce("table4", table_reps=50)
-        cols = report.columns()
+        cols = next(csv_lines(report.rows)).split(",")
         assert cols[0] == "n1"
         assert set(cols) == set(report.rows[0])
 
@@ -106,22 +123,37 @@ class TestReports:
 
     def test_fig5_rows_are_the_trace_limit_of_their_configs(self,
                                                             monkeypatch):
-        # the phi columns depend on the config only; skip the replications
-        configs = []
-
-        def record(config, workers=1, pool=None):
-            configs.append(config)
-            stub = SimpleNamespace(mean_error_pi1_pct=0.0)
-            return SimpleNamespace(classifiers={"t": stub})
-
-        monkeypatch.setattr(reproduce_module, "run_experiment", record)
-        report = reproduce("fig5", scale=0.005)
-        assert len(report.rows) == len(configs) == 20
-        for row, config in zip(report.rows, configs):
+        configs, rows = stub_rows(monkeypatch, "fig5")
+        assert len(rows) == len(configs) == 20
+        for row, config in zip(rows, configs):
             assert (row["n1"], row["n2"]) == (config.n1, config.n2)
             inputs = trace_inputs(config)
             for variant in ("v1", "v2", "v3"):
                 assert row[f"phi_{variant}"] == t_misclass(inputs, variant)
+
+    def test_fig2_quarter_panel_is_the_limit_of_its_design(self,
+                                                          monkeypatch):
+        # Delta^2 = (4/3) y with y = p / (n1 + n2 - 2) = p / 498
+        _, rows = stub_rows(monkeypatch, "fig2")
+        quarter = [row for row in rows if row["panel"] == "lambda_quarter"]
+        assert [row["p"] for row in quarter] == list(range(50, 451, 50))
+        for row in quarter:
+            p = row["p"]
+            inputs = TheoryInputsD.from_design(p, 125, 375,
+                                               (4.0 / 3.0) * (p / 498))
+            assert row["phi_theta1"] == normal_cdf(theta1(inputs))
+
+    def test_fig2_half_panel_is_fig1(self, monkeypatch):
+        fig1_configs, fig1_rows = stub_rows(monkeypatch, "fig1")
+        fig2_configs, fig2_rows = stub_rows(monkeypatch, "fig2")
+        assert len(fig1_configs) == len(fig1_rows) == 9
+        half = fig2_rows[:9]
+        assert [config_record(c) for c in fig2_configs[:9]] == \
+            [config_record(c) for c in fig1_configs]
+        assert [row["panel"] for row in half] == ["lambda_half"] * 9
+        for row, ref in zip(half, fig1_rows):
+            for key in ("p", "x", "phi_theta1"):
+                assert row[key] == ref[key]
 
     @pytest.mark.parametrize("point", [0, 10], ids=["normal", "gamma"])
     def test_fig5_group_one_errors_need_no_group_two_rows(self, point):
