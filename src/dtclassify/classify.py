@@ -7,10 +7,10 @@ statistic <= 0 (ties resolve to group 1 for reproducibility).
 
 * ``d_statistics``           -- compares quadratic forms against the pooled
   scatter inverse; equivalent (matrix determinant lemma) to comparing
-  determinants of the two augmented scatter matrices. With A = L L' and
-  z - ybar = (z - xbar) + (xbar - ybar), both forms come from one
-  triangular solve, W = L^-1 (z - xbar), and v = L^-1 (xbar - ybar):
-  ||W||^2 and ||W + v||^2.
+  determinants of the two augmented scatter matrices. With the scatter's
+  root A = Gamma T T' Gamma and z - ybar = (z - xbar) + (xbar - ybar),
+  both forms come from one triangular solve, W = T^-1 Gamma^-1 (z - xbar),
+  and v = T^-1 Gamma^-1 (xbar - ybar): ||W||^2 and ||W + v||^2.
 * ``d_criterion_det``        -- the direct determinant comparison for one
   point; O(p^3) per query and kept public as a cross-check oracle.
 * ``t_statistics``           -- alpha-weighted squared distances to the
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import covariance, lapack
+from .covariance import CovarianceSpec, MixingMatrix
 from .errors import (
     ConditioningError,
     DegenerateFeatureError,
@@ -41,18 +42,20 @@ from .errors import (
     SingularityError,
 )
 
+
 @dataclass
 class TrainedStats:
     """What the rules read of a training draw: the group means and sizes
-    and, None unless its rule runs, the D-rule's Cholesky factor L of the
-    pooled scatter A = L L' (rows) or A^-1 (xbar - ybar) (linear forms),
-    naive Bayes' pooled variances and the truth (mu1, mu2, Sigma^-1)."""
+    and, None unless its rule runs, the D-rule's root (Gamma, T) of the
+    pooled scatter A = Gamma T T' Gamma -- (I, L), L the Cholesky factor,
+    when fitted on rows -- and A^-1 (xbar - ybar) (linear forms), naive
+    Bayes' pooled variances and the truth (mu1, mu2, Sigma^-1)."""
 
     mean_x: np.ndarray
     mean_y: np.ndarray
     n1: int
     n2: int
-    _chol: np.ndarray | None = field(default=None, repr=False)
+    root: tuple | None = field(default=None, repr=False)
     direction: np.ndarray | None = field(default=None, repr=False)
     variances: np.ndarray | None = field(default=None, repr=False)
     truth: tuple | None = field(default=None, repr=False)
@@ -86,7 +89,8 @@ def fit(X, Y, need_scatter: bool = True) -> TrainedStats:
     stats = TrainedStats(X.mean(axis=0), Y.mean(axis=0), n1, n2)
     if need_scatter:
         check_d_dimension(p, n1, n2)
-        stats._chol = _factor_scatter(pooled_scatter(X, Y))
+        stats.root = (MixingMatrix(CovarianceSpec.identity(p)),
+                      _factor_scatter(pooled_scatter(X, Y)))
     return stats
 
 
@@ -95,7 +99,8 @@ def check_d_dimension(p: int, n1: int, n2: int) -> None:
     if p >= n1 + n2 - 2:
         raise SingularityError(
             f"the D-criterion needs p < n1+n2-2 so the pooled scatter is "
-            f"invertible; got p = {p}, n1+n2-2 = {n1 + n2 - 2}")
+            f"invertible; got p = {p}, n1+n2-2 = {n1 + n2 - 2}",
+            fields=("p", "n1", "n2", "classifiers"))
 
 
 def pooled_scatter(X, Y) -> np.ndarray:
@@ -136,57 +141,39 @@ def _check_condition(L, anorm: float, name: str, cause: str) -> None:
         )
 
 
-def whitened_scatter_solver(T, gamma):
-    """v -> A^-1 v for the pooled scatter A = Gamma T T' Gamma.
+def drawn_root_solve(T, v, name="whitened pooled scatter") -> np.ndarray:
+    """S^-1 v for S = T T', T the square Bartlett factor of the whitened
+    pooled scatter or of a k x k Schur complement of it, as ``name`` says.
 
-    T is the square Bartlett factor of W = T T', the pooled scatter of the
-    whitened samples Gamma^-1 x. Checks W's condition first, with dpocon
-    on T and ||W||_1 <= ||T||_1 ||T||_inf in place of ||W||_1, which would
-    cost forming W: an estimate of cond_1(W) from above, by that bound's
-    slack (under 20 at p = 450, n1 + n2 = 500). W is A itself for identity
-    Sigma; otherwise A = Gamma W Gamma is never formed or factored, so
-    Sigma's own condition is not part of the check.
+    Checks S's condition first, with dpocon on T and ||S||_1 <=
+    ||T||_1 ||T||_inf in place of ||S||_1, which would cost forming S: an
+    estimate of cond_1(S) from above, by that bound's slack (under 20 at
+    p = 450, n1 + n2 = 500). A = Gamma S Gamma is never formed or
+    factored, so Sigma's own condition is not part of the check.
     """
     absT = np.abs(T)
     _check_condition(T, absT.sum(axis=0).max() * absT.sum(axis=1).max(),
-                     "whitened pooled scatter", "p/n too close to 1")
-
-    def solve(v):
-        return gamma.unmix(lapack.cholesky_solve(T, gamma.unmix(v)))
-
-    return solve
-
-
-def schur_complement_solve(T, r) -> np.ndarray:
-    """S^-1 r for S = T T', T the Bartlett factor of a k x k Schur
-    complement of the whitened pooled scatter (k <= 4).
-
-    Checks S's condition first, with dpocon on T and S's exact 1-norm: at
-    k <= 4, forming S costs less than bounding its norm.
-    """
-    _check_condition(T, np.abs(T @ T.T).sum(axis=0).max(),
-                     "Schur complement of the whitened pooled scatter",
-                     "p/n too close to 1")
-    return lapack.cholesky_solve(T, r)
+                     name, "p/n too close to 1")
+    return lapack.cholesky_solve(T, v)
 
 
 def d_statistics(stats: TrainedStats, Z) -> np.ndarray:
     """Vectorized D-criterion statistics for rows of Z.
 
     alpha1 (z-xbar)' A^-1 (z-xbar) - alpha2 (z-ybar)' A^-1 (z-ybar), from
-    one triangular solve with the Cholesky factor A = L L':
-    W = L^-1 (Z - xbar)' and v = L^-1 (xbar - ybar) give the two forms as
-    the squared column norms of W and of W + v.
+    one triangular solve with the root A = Gamma T T' Gamma:
+    W = T^-1 Gamma^-1 (Z - xbar)' and v = T^-1 Gamma^-1 (xbar - ybar) give
+    the two forms as the squared column norms of W and of W + v.
     """
-    if stats._chol is None:
+    if stats.root is None:
         raise SingularityError("stats carry no pooled scatter; fit with "
                                "need_scatter=True")
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    L = stats._chol
-    W = lapack.solve_triangular(L, (Z - stats.mean_x).T)
-    v = lapack.solve_triangular(L, stats.mean_x - stats.mean_y)
+    gamma, T = stats.root
+    W = lapack.solve_triangular(T, gamma.unmix((Z - stats.mean_x).T))
+    v = lapack.solve_triangular(T, gamma.unmix(stats.mean_x - stats.mean_y))
     qx = np.einsum("ij,ij->j", W, W)
-    W += v[:, None]  # now L^-1 (Z - ybar)'
+    W += v[:, None]  # now T^-1 Gamma^-1 (Z - ybar)'
     qy = np.einsum("ij,ij->j", W, W)
     return stats.alpha1 * qx - stats.alpha2 * qy
 

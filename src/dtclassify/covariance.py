@@ -199,8 +199,7 @@ def beta_squared(spec: CovarianceSpec) -> float:
                 + 26.0 * rho**2) / (12.0 * (rho**2 - 1.0))
     raise CalibrationError(
         f"beta calibration is only available for identity/equal_corr/ar1, "
-        f"not {spec.kind!r}"
-    )
+        f"not {spec.kind!r}", fields=("covariance", "scenario"))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ draws mu2 when the delocalized mean is redrawn, then a training draw and a
 test draw, and counts each classifier's test errors. Training fills the
 rules' record, ``classify.TrainedStats``, from rows fitted once
 (``fit_rows``, as in ``classify_dataset``) or, for normal innovations, from
-xbar, ybar and what the D-rule and naive Bayes read of the pooled scatter;
-testing scores rows by the rule table (``fitted_rule_statistics``) or, for
-normal innovations and n1 = n2, draws the statistics from linear forms.
+xbar, ybar and what the D-rule and naive Bayes read of the pooled scatter
+(the D-rule's root (Gamma, T) of it, fitted or drawn, or only its
+direction A^-1 (xbar - ybar), drawn through a Schur complement); testing
+scores rows by the rule table (``fitted_rule_statistics``) or, for normal
+innovations and n1 = n2, draws the statistics from linear forms.
 ``row_replication`` (the reference path) and ``reduced_replication`` pair
 these halves; ``run_replication`` takes the reduced one where it applies
 (``ExperimentConfig.sampler``).
@@ -46,6 +48,7 @@ from . import classify, lapack
 from .covariance import (
     CovarianceSpec,
     MixingMatrix,
+    beta_squared,
     inverse_covariance,
     mahalanobis,
     trace_and_sum,
@@ -135,9 +138,11 @@ class ExperimentConfig:
         for name, size in (("n1", self.n1), ("n2", self.n2),
                            ("m1", self.test1), ("m2", self.test2)):
             if size < 2:
-                raise DomainError(f"{name} must be >= 2, got {size}")
+                raise DomainError(f"{name} must be >= 2, got {size}",
+                                  fields=(name,))
         if self.reps < 1:
-            raise DomainError(f"reps must be >= 1, got {self.reps}")
+            raise DomainError(f"reps must be >= 1, got {self.reps}",
+                              fields=("reps",))
         check_classifiers(self.classifiers, CLASSIFIER_IDS)
         if "d" in self.classifiers:
             classify.check_d_dimension(self.p, self.n1, self.n2)
@@ -146,12 +151,15 @@ class ExperimentConfig:
                               f"{self.scenario.n0}, p = {self.p}",
                               fields=("n0", "p"))
         if self.master_seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.master_seed}")
+            raise DomainError(f"seed must be >= 0, got {self.master_seed}",
+                              fields=("master_seed",))
         if self.mu2_override is not None:
             mu2 = np.asarray(self.mu2_override, dtype=float)
             if mu2.shape != (self.p,):
                 raise DomainError("mu2_override must have length p")
             object.__setattr__(self, "mu2_override", mu2)
+        if self.fixed_delta is None:  # the uniform law must be calibrated
+            beta_squared(self.covariance)
 
     @property
     def test1(self) -> int:
@@ -325,7 +333,8 @@ def _reduced_training(config: ExperimentConfig, mu, rng
     for normal innovations: xbar ~ N(mu1, Sigma/n1), ybar ~ N(mu2, Sigma/n2)
     and, for the D-rule and naive Bayes, the pooled scatter A = Gamma W
     Gamma, W ~ W_p(I, n1 + n2 - 2). Naive Bayes reads all of diag A, so
-    with it W = T T' is drawn whole, T from Bartlett's decomposition.
+    with it W = T T' is drawn whole, T from Bartlett's decomposition, and
+    the D-rule keeps the root (Gamma, T) as well as its direction.
     Without it the D-rule reads A only through u = A^-1 (xbar - ybar),
     which ``whitened_solve`` draws from an at most 4 x 4 Wishart."""
     gamma, p, rules = config.gamma, config.p, config.classifiers
@@ -338,8 +347,9 @@ def _reduced_training(config: ExperimentConfig, mu, rng
         T = bartlett_factor(p, dof, rng)
         stats.variances = np.sum(gamma.mix(T) ** 2, axis=1) / dof
         if "d" in rules:
-            stats.direction = classify.whitened_scatter_solver(T, gamma)(
-                stats.mean_x - stats.mean_y)
+            stats.root = (gamma, T)
+            stats.direction = gamma.unmix(classify.drawn_root_solve(
+                T, gamma.unmix(stats.mean_x - stats.mean_y)))
     elif "d" in rules:
         # the whitened means Gamma^-1 xbar (mu1 = 0) and Gamma^-1 ybar,
         # whose difference Gamma^-1 (xbar - ybar) the D-rule's solve reads
@@ -384,8 +394,9 @@ def whitened_solve(e, reads, dof: int, rng) -> np.ndarray:
     """
     Q, R = lapack.qr(np.column_stack([e, reads]))
     p, k = Q.shape
-    a = classify.schur_complement_solve(bartlett_factor(k, dof - p + k, rng),
-                                        R[:, 0])
+    a = classify.drawn_root_solve(
+        bartlett_factor(k, dof - p + k, rng), R[:, 0],
+        "Schur complement of the whitened pooled scatter")
     v = Q @ a
     if k < p:
         g = rng.standard_normal(p)

@@ -80,7 +80,9 @@ SCHEMA = {
 REQUIRED = {"experiment": ("p", "n1", "n2", "seed"), "classifiers": ("list",)}
 
 # the config paths of the spec fields that a spec's error may name
-PATHS = {"p": "[experiment].p", "n0": "[scenario].n0",
+PATHS = {**{key: f"[experiment].{key}" for key in SCHEMA["experiment"]},
+         "master_seed": "[experiment].seed", "n0": "[scenario].n0",
+         "covariance": "[covariance].kind", "scenario": "[scenario].kind",
          "classifiers": "[classifiers].list"}
 
 

@@ -22,7 +22,7 @@ from .harness import (
     worker_pool,
 )
 from .model import InnovationSpec, ScenarioSpec
-from .theory import TheoryInputsD, normal_cdf, t_misclass, theta1, theta2
+from .theory import TheoryInputsD, d_misclass, normal_cdf, t_misclass, theta2
 
 TABLE_DEFAULT_REPS = 1000
 FIGURE_DEFAULT_REPS = 10000
@@ -262,7 +262,7 @@ def _fig_row(panel: str | None, config: ExperimentConfig, result) -> dict:
     inputs = _fig_design(config.p, config.n1, config.n2)
     row = {
         "panel": panel, "p": config.p, "x": inputs.y,
-        "phi_theta1": normal_cdf(theta1(inputs)),
+        "phi_theta1": d_misclass(inputs),
         "phi_theta2": normal_cdf(theta2(inputs.y, inputs.delta2)),
         "empirical": result.classifiers["d"].mean_error_pct / 100.0,
     }

@@ -39,7 +39,9 @@ class TestFit:
         Xc = X - stats.mean_x
         Yc = Y - stats.mean_y
         assert np.allclose(pooled_scatter(X, Y), Xc.T @ Xc + Yc.T @ Yc)
-        L = np.tril(stats._chol)
+        gamma, L = stats.root
+        assert gamma.is_identity
+        L = np.tril(L)
         assert np.allclose(L @ L.T, Xc.T @ Xc + Yc.T @ Yc)
         assert stats.alpha1 == pytest.approx(4.0 / 5.0)
         assert stats.alpha2 == pytest.approx(3.0 / 4.0)
@@ -59,7 +61,7 @@ class TestFit:
             fit(X, Y)
         # without the scatter the same data are fine
         stats = fit(X, Y, need_scatter=False)
-        assert stats._chol is None
+        assert stats.root is None
 
     def test_ill_conditioned_scatter_rejected(self):
         # cond(L L') is about 1e16 while diag(L) = (1, 1) looks perfect
@@ -83,7 +85,7 @@ class TestFit:
                                    atol=1e-12 * np.abs(reference).max())
         assert np.array_equal(A, A.T)
         # and fit factors exactly that matrix
-        assert np.array_equal(fit(X, Y)._chol, _factor_scatter(A))
+        assert np.array_equal(fit(X, Y).root[1], _factor_scatter(A))
 
     def test_pooled_variances(self):
         # the per-feature variances are diag(A) / (n1+n2-2)
@@ -95,7 +97,7 @@ class TestFit:
         variances = pooled_variances_from_data(X, Y)
         assert np.allclose(variances, manual)
         assert np.allclose(variances, np.diag(pooled_scatter(X, Y)) / 38)
-        L = np.tril(stats._chol)
+        L = np.tril(stats.root[1])
         assert np.allclose(variances, np.sum(L**2, axis=1) / 38)
 
 

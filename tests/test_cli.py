@@ -92,7 +92,7 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith(
-            "error: seed must be >= 0, got -3")
+            "error: [experiment].seed: seed must be >= 0, got -3")
         assert not (tmp_path / "out").exists()
 
     def test_zero_reps_exits_one(self, tmp_path, capsys):
@@ -101,6 +101,28 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "reps must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (SMALL.replace("n1 = 15", "n1 = 1"),
+         "[experiment].n1: n1 must be >= 2, got 1"),
+        (SMALL.replace("n2 = 15", "n2 = 15\nm1 = 1"),
+         "[experiment].m1: m1 must be >= 2, got 1"),
+        (SMALL.replace("reps = 20", "reps = 0"),
+         "[experiment].reps: reps must be >= 1, got 0"),
+        (SMALL.replace("seed = 5", "seed = -1"),
+         "[experiment].seed: seed must be >= 0, got -1"),
+        (SMALL.replace("p = 8", "p = 40") + "\n[classifiers]\nlist = d,t\n",
+         "[experiment].p, [experiment].n1, [experiment].n2, "
+         "[classifiers].list: the D-criterion needs p < n1+n2-2"),
+    ], ids=["n1", "m1", "reps", "seed", "d_limit"])
+    def test_experiment_errors_name_their_config_paths(self, tmp_path,
+                                                       capsys, text, message):
+        config = write(tmp_path, text)
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_key_the_kind_does_not_take_exits_one(self, tmp_path, capsys):
@@ -186,6 +208,23 @@ class TestTheory:
         assert capsys.readouterr().out == (
             f"v1: B_p^2 = {t_variance(inputs, 'v1'):.6f}  "
             f"misclass = {t_misclass(inputs, 'v1'):.6f}\n")
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["theory", "t"]])
+def test_uncalibrated_delocalized_mean_names_its_config_paths(
+        tmp_path, capsys, command):
+    # the delocalized law is calibrated for identity, equal_corr and ar1
+    # only, so a diagonal Sigma needs [scenario].kind = localized
+    config = write(tmp_path, SMALL + "\n[covariance]\nkind = diagonal\n"
+                   "sigmas = 1,2,3,4,5,6,7,8\n")
+    args = [*command, "--config", str(config)]
+    if command == ["simulate"]:
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: [covariance].kind, [scenario].kind: beta calibration is "
+        "only available for identity/equal_corr/ar1, not 'diagonal'")
+    assert not (tmp_path / "out").exists()
 
 
 def write_dataset(tmp_path, rng, stem, n_per=10, p=5, gap=8.0):

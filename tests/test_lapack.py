@@ -167,7 +167,7 @@ class TestRuleGuards:
     def test_ill_conditioned_bartlett_factor_raises_conditioning_error(self):
         T = np.array([[1.0, 0.0], [1e7, 1.0]])
         with pytest.raises(ConditioningError, match="whitened"):
-            classify.whitened_scatter_solver(T, None)
+            classify.drawn_root_solve(T, np.ones(2))
 
 
 class TestNormalCdf:

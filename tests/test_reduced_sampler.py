@@ -60,8 +60,7 @@ class TestDispatch:
         ({}, "reduced"),
         ({"m1": 5, "m2": 9}, "reduced"),
         ({"covariance": CovarianceSpec.diagonal(np.arange(1.0, 9.0)),
-          "scenario": ScenarioSpec("delocalized", 2, redraw_mu2=False)},
-         "reduced"),
+          "scenario": ScenarioSpec("localized", 2)}, "reduced"),
         ({"n2": 16}, "rows"),
         ({"innovation1": InnovationSpec("student_t", df=7),
           "innovation2": InnovationSpec("student_t", df=7)}, "rows"),
@@ -149,27 +148,29 @@ class TestWhitenedSolve:
     ])
     def test_p_by_p_factor_only_with_naive_bayes(self, monkeypatch, rules,
                                                  sizes):
-        # the Schur draw factors k = 1 + (m, mu2, and Gamma d for T) columns
-        seen, solvers = [], []
+        # the Schur draw factors k = 1 + (m, mu2, and Gamma d for T) columns;
+        # the D-rule's guarded solve takes the p x p root only with naive
+        # Bayes, else the k x k Schur root
+        seen, solved = [], []
         real_factor = harness.bartlett_factor
-        real_solver = classify.whitened_scatter_solver
+        real_solve = classify.drawn_root_solve
 
         def factor(p, dof, rng):
             seen.append(p)
             return real_factor(p, dof, rng)
 
-        def solver(T, gamma):
-            solvers.append(T.shape)
-            return real_solver(T, gamma)
+        def solve(T, v, *name):
+            solved.append(T.shape)
+            return real_solve(T, v, *name)
 
         monkeypatch.setattr(harness, "bartlett_factor", factor)
-        monkeypatch.setattr(classify, "whitened_scatter_solver", solver)
+        monkeypatch.setattr(classify, "drawn_root_solve", solve)
         config = config_of(covariance=SPECS["ar1"], classifiers=rules, reps=1)
         assert config.p == 8
         counts = harness.reduced_replication(config, 0)
         assert set(counts) == set(rules)
         assert seen == sizes
-        assert solvers == ([(8, 8)] if {"d", "nb"} <= set(rules) else [])
+        assert solved == ([(k, k) for k in sizes] if "d" in rules else [])
 
     @pytest.mark.parametrize("scenario, unmixes", [
         (ScenarioSpec("localized", 3), 1),
@@ -329,9 +330,34 @@ class TestLinearForms:
         T = bartlett_factor(6, 20, np.random.default_rng(3))
         A = gamma.mix(T) @ gamma.mix(T).T
         v = np.arange(1.0, 7.0)
-        solve = classify.whitened_scatter_solver(T, gamma)
-        np.testing.assert_allclose(solve(v), np.linalg.solve(A, v),
-                                   rtol=1e-10)
+        u = gamma.unmix(classify.drawn_root_solve(T, gamma.unmix(v)))
+        np.testing.assert_allclose(u, np.linalg.solve(A, v), rtol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["identity", "equal_corr", "ar1",
+                                      "diagonal"])
+    def test_bartlett_record_scores_by_rows_as_by_its_forms(self, kind):
+        # the Bartlett draw's record carries the root (Gamma, T) of
+        # A = Gamma T T' Gamma: the rule table scores rows from it as the
+        # linear forms do, and its D statistics are those of the formed A
+        config = config_of(covariance=SPECS[kind], reps=1)
+        rng = np.random.default_rng(23)
+        mu = (np.zeros(8), config.fixed_mu2)
+        stats = harness._reduced_training(config, mu, rng)
+        stats.truth = (*mu, config.sigma_inv)
+        Z = rng.standard_normal((30, 8)) + 0.4
+        rows = harness.fitted_rule_statistics(RULES, stats, Z)
+        for rule, (c, w) in classify.linear_forms(RULES, stats).items():
+            np.testing.assert_allclose(rows[rule], c + Z @ w, rtol=1e-10,
+                                       err_msg=rule)
+        gamma, T = stats.root
+        A = gamma.mix(T) @ gamma.mix(T).T
+
+        def form(R):  # r' A^-1 r for each row r of R
+            return np.einsum("ij,ji->i", R, np.linalg.solve(A, R.T))
+
+        np.testing.assert_allclose(
+            rows["d"], stats.alpha1 * form(Z - stats.mean_x)
+            - stats.alpha2 * form(Z - stats.mean_y), rtol=1e-10)
 
 
 class TestTestStatistics:
@@ -443,14 +469,17 @@ class TestConditioningGuard:
     def test_whitened_guard_is_no_looser_than_the_formed_scatter(
             self, monkeypatch):
         # the norm bound only raises the estimate: a limit just under
-        # dpocon's estimate from the formed W = T T' still trips the guard
-        T = bartlett_factor(30, 31, np.random.default_rng(4))
-        W = T @ T.T
-        rcond, _ = dpocon(T, np.abs(W).sum(axis=0).max(), uplo="L")
-        monkeypatch.setattr(covariance, "CONDITION_LIMIT", 0.999 / rcond)
-        with pytest.raises(ConditioningError, match="whitened"):
-            classify.whitened_scatter_solver(
-                T, MixingMatrix.from_spec(CovarianceSpec.identity(30)))
+        # dpocon's estimate from the formed S = T T' and its exact norm
+        # still trips the guard, for the p x p root and a k x k Schur root
+        for k, name in ((30, "whitened pooled scatter"),
+                        (4, "Schur complement of the whitened pooled "
+                            "scatter")):
+            T = bartlett_factor(k, k + 1, np.random.default_rng(4))
+            S = T @ T.T
+            rcond, _ = dpocon(T, np.abs(S).sum(axis=0).max(), uplo="L")
+            monkeypatch.setattr(covariance, "CONDITION_LIMIT", 0.999 / rcond)
+            with pytest.raises(ConditioningError, match=name):
+                classify.drawn_root_solve(T, np.ones(k), name)
 
     def test_ill_conditioned_sigma_stops_only_the_row_path(self, tmp_path):
         # variances 1e-3 .. 1e-14 off the mean shift: A = Gamma W Gamma is

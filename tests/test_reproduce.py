@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from dtclassify.errors import DomainError
 from dtclassify.harness import run_experiment, trace_inputs
-from dtclassify.io import config_record, csv_lines
+from dtclassify.io import config_record, csv_lines, emit_report
 from dtclassify.reproduce import (
     REFERENCE_TABLE1,
     REFERENCE_TABLE3,
@@ -22,6 +23,15 @@ from dtclassify.theory import TheoryInputsD, normal_cdf, t_misclass, theta1
 
 # the package root re-exports the function under the module's name
 reproduce_module = importlib.import_module("dtclassify.reproduce")
+
+# Copies of fast targets' CSVs at the default seed and one worker: the
+# tables at ``--reps 50``, fig1 at ``--scale 0.005``. Between them they run
+# the Bartlett and Schur draws, the T-rule-only draw, the theory overlay
+# and the CSV formatting. A change that moves an RNG stream on purpose
+# regenerates them and says so.
+PINNED = Path(__file__).parent / "data" / "reproduce"
+PINNED_RUNS = {"table1": {"table_reps": 50}, "table3": {"table_reps": 50},
+               "table4": {"table_reps": 50}, "fig1": {"scale": 0.005}}
 
 
 def stub_rows(monkeypatch, target):
@@ -167,3 +177,10 @@ class TestReports:
         pi1 = run_experiment(full).classifiers["t"].per_rep_errors_pi1
         assert pi1.any()
         np.testing.assert_array_equal(few, pi1)
+
+
+@pytest.mark.parametrize("target", PINNED_RUNS)
+def test_reproduce_csv_is_byte_identical_to_its_pinned_copy(target,
+                                                           tmp_path):
+    path = emit_report(reproduce(target, **PINNED_RUNS[target]), tmp_path)
+    assert path.read_bytes() == (PINNED / f"{target}.csv").read_bytes()

@@ -75,8 +75,7 @@ def test_traced_reduced_run_records_its_layers():
 # The reduced sampler's stages, which bench/tracing.LAYERS does not list yet
 REDUCED_STAGES = (
     ("model.bartlett_factor", "dtclassify.model", "bartlett_factor"),
-    ("classify.whitened_scatter_solver", "dtclassify.classify",
-     "whitened_scatter_solver"),
+    ("classify.drawn_root_solve", "dtclassify.classify", "drawn_root_solve"),
     ("classify.linear_forms", "dtclassify.classify", "linear_forms"),
     ("harness.draw_test_statistics", "dtclassify.harness",
      "draw_test_statistics"),
