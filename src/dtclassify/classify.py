@@ -24,7 +24,8 @@ Every rule reads one record of the training draw, ``TrainedStats``;
 ``ROW_STATISTICS`` maps each rule id to its statistics for query rows. When
 n1 = n2 (so alpha1 = alpha2 = alpha) every rule is affine in the query
 point, -weight (z - m)' u with m the midpoint of the two means, and
-``linear_forms`` gives each rule's offset and vector from the same record.
+``linear_forms`` gives each rule's offset and vector from the same record,
+also for a record of a block of training draws, one per row.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ class TrainedStats:
     and, None unless its rule runs, the D-rule's root (Gamma, T) of the
     pooled scatter A = Gamma T T' Gamma -- (I, L), L the Cholesky factor,
     when fitted on rows -- and A^-1 (xbar - ybar) (linear forms), naive
-    Bayes' pooled variances and the truth (mu1, mu2, Sigma^-1)."""
+    Bayes' pooled variances and the truth (mu1, mu2, Sigma^-1). For a block
+    of draws, the p-vectors are B x p, one row per draw (a truth's mu1 and
+    mu2 may be one p-vector for all), and there is no root."""
 
     mean_x: np.ndarray
     mean_y: np.ndarray
@@ -125,14 +128,15 @@ def _factor_scatter(A: np.ndarray) -> np.ndarray:
     return L
 
 
-def _check_condition(L, anorm: float, name: str, cause: str) -> None:
+def _check_condition(L, anorm, name: str, cause: str) -> None:
     """Raise ConditioningError when A = L L' is too ill-conditioned.
 
     LAPACK dpocon estimates ||A^-1||_1 from A's lower Cholesky factor L;
     times ``anorm``, ||A||_1 or a bound on it, that is the 1-norm condition
-    estimate checked against ``covariance.CONDITION_LIMIT``.
+    estimate checked against ``covariance.CONDITION_LIMIT``. For a stack of
+    factors with one ``anorm`` each, the worst estimate is checked.
     """
-    rcond = lapack.reciprocal_condition(L, anorm)
+    rcond = float(np.min(lapack.reciprocal_condition(L, anorm)))
     if rcond * covariance.CONDITION_LIMIT < 1.0:
         cond_est = 1.0 / rcond if rcond > 0 else np.inf
         raise ConditioningError(
@@ -143,16 +147,19 @@ def _check_condition(L, anorm: float, name: str, cause: str) -> None:
 
 def drawn_root_solve(T, v, name="whitened pooled scatter") -> np.ndarray:
     """S^-1 v for S = T T', T the square Bartlett factor of the whitened
-    pooled scatter or of a k x k Schur complement of it, as ``name`` says.
+    pooled scatter or of a k x k Schur complement of it, as ``name`` says;
+    or, for a stack of factors (..., k, k), each S^-1 v for its row of v.
 
     Checks S's condition first, with dpocon on T and ||S||_1 <=
     ||T||_1 ||T||_inf in place of ||S||_1, which would cost forming S: an
     estimate of cond_1(S) from above, by that bound's slack (under 20 at
     p = 450, n1 + n2 = 500). A = Gamma S Gamma is never formed or
-    factored, so Sigma's own condition is not part of the check.
+    factored, so Sigma's own condition is not part of the check. A stack
+    is solved only once every factor in it has passed.
     """
     absT = np.abs(T)
-    _check_condition(T, absT.sum(axis=0).max() * absT.sum(axis=1).max(),
+    _check_condition(T, absT.sum(axis=-2).max(axis=-1)
+                     * absT.sum(axis=-1).max(axis=-1),
                      name, "p/n too close to 1")
     return lapack.cholesky_solve(T, v)
 
@@ -240,6 +247,13 @@ def oracle_statistics(mu1, mu2, sigma_inv, Z) -> np.ndarray:
     return -score
 
 
+def row_dot(a, b) -> np.ndarray:
+    """a'b for vectors, or for each pair of rows of stacks (..., p): one
+    dot product per row, so that a row's value does not depend on the
+    stack it is in."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 # rule id -> its statistics for rows of Z from a TrainedStats s. Each entry
 # calls its rule by the module-global name, so a rule patched by name runs.
 ROW_STATISTICS = {
@@ -260,7 +274,9 @@ def linear_forms(classifiers, stats: TrainedStats
     ``nb`` takes u = (xbar - ybar) / ``stats.variances`` with weight 1;
     the oracle takes u = Sigma^-1 (mu1 - mu2), m = (mu1 + mu2) / 2 and
     weight 1 from ``stats.truth`` = (mu1, mu2, Sigma^-1). Returns
-    {rule: (c, w)} with c = weight m'u and w = -weight u.
+    {rule: (c, w)} with c = weight m'u and w = -weight u; for a block's
+    record, c has one entry and w one row per draw, unless the rule reads
+    the block's shared truth alone.
     """
     if stats.n1 != stats.n2:
         raise DomainError("linear forms need n1 = n2")
@@ -275,6 +291,7 @@ def linear_forms(classifiers, stats: TrainedStats
             u, weight = diff / _positive_variances(stats.variances), 1.0
         elif clf == "oracle":
             mu1, mu2, sigma_inv = stats.truth
-            u, m, weight = sigma_inv @ (mu1 - mu2), (mu1 + mu2) / 2.0, 1.0
-        forms[clf] = (weight * float(m @ u), -weight * u)
+            u = (sigma_inv @ (mu1 - mu2)[..., None])[..., 0]
+            m, weight = (mu1 + mu2) / 2.0, 1.0
+        forms[clf] = (weight * row_dot(m, u), -weight * u)
     return forms

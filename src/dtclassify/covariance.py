@@ -186,15 +186,15 @@ def beta_squared(spec: CovarianceSpec) -> float:
     p, rho = spec.p, spec.rho
     if spec.kind == "identity":
         return 13.0 * p / 12.0
+    if spec.kind in ("equal_corr", "ar1") and p < 2:
+        raise DomainError(f"the delocalized mean's calibration for "
+                          f"{spec.kind} needs p >= 2, got p = {p}",
+                          fields=("p", "scenario"))
     if spec.kind == "equal_corr":
-        if p < 2:
-            raise DomainError("beta_squared requires p >= 2")
         return p * (p * rho - 14.0 * rho + 13.0) / (
             12.0 * (1.0 - rho + p * rho) * (1.0 - rho)
         )
     if spec.kind == "ar1":
-        if p < 2:
-            raise DomainError("beta_squared requires p >= 2")
         return (p * (24.0 * rho - 13.0 * rho**2 - 13.0) - 24.0 * rho
                 + 26.0 * rho**2) / (12.0 * (rho**2 - 1.0))
     raise CalibrationError(
@@ -246,7 +246,8 @@ class MixingMatrix:
         return np.eye(self.source.p) if self.root is None else self.root
 
     def mix(self, M) -> np.ndarray:
-        """Gamma @ M for a vector or a matrix M; M itself for the identity."""
+        """Gamma @ M for a vector, a matrix or a stack of matrices
+        (..., p, k) M, one product per matrix; M itself for the identity."""
         return self._times(M, 0.5)
 
     def unmix(self, M) -> np.ndarray:
@@ -260,7 +261,8 @@ class MixingMatrix:
             return M
         if kind == "equal_corr":
             a, b = _equal_corr_coefficients(self.source, exponent)
-            return a * M + b * M.sum(axis=0)
+            return a * M + b * M.sum(axis=-2 if M.ndim > 1 else 0,
+                                      keepdims=True)
         return (self.gamma if exponent > 0 else self._inverse) @ M
 
     @cached_property

@@ -1,18 +1,23 @@
 """Replicated Monte Carlo classification experiments.
 
-A replication (``_replicate``) takes its RNG stream from (master_seed,
-rep_index), so results are bit-identical however many workers run them,
-draws mu2 when the delocalized mean is redrawn, then a training draw and a
-test draw, and counts each classifier's test errors. Training fills the
-rules' record, ``classify.TrainedStats``, from rows fitted once
+A replication takes its RNG stream from (master_seed, rep_index)
+(``replication_rng``), so results are bit-identical however many workers
+run them, draws mu2 when the delocalized mean is redrawn, then a training
+draw and a test draw, and counts each classifier's test errors. Training
+fills the rules' record, ``classify.TrainedStats``, from rows fitted once
 (``fit_rows``, as in ``classify_dataset``) or, for normal innovations, from
 xbar, ybar and what the D-rule and naive Bayes read of the pooled scatter
 (the D-rule's root (Gamma, T) of it, fitted or drawn, or only its
 direction A^-1 (xbar - ybar), drawn through a Schur complement); testing
 scores rows by the rule table (``fitted_rule_statistics``) or, for normal
 innovations and n1 = n2, draws the statistics from linear forms.
-``row_replication`` (the reference path) and ``reduced_replication`` pair
-these halves; ``run_replication`` takes the reduced one where it applies
+``row_replication`` (the reference path) pairs the row halves, one
+replication at a time; ``reduced_replication`` pairs the others and runs
+replications in blocks of ``BLOCK`` (``reduced_statistics``): each
+replication draws from its own stream what it would draw alone, then the
+block's arithmetic runs once on stacked arrays, one product per
+replication, so no result depends on its block. ``run_replication`` runs
+a chunk of replications by the config's sampler
 (``ExperimentConfig.sampler``).
 
 What depends on the config alone -- Gamma, Sigma^-1, a fixed mean
@@ -37,7 +42,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -80,6 +84,10 @@ DATASET_CLASSIFIER_IDS = tuple(c for c in CLASSIFIER_IDS if c != "oracle")
 # RNG stream layout: replication r uses [master_seed, r]; the reserved
 # stream below draws a fixed delocalized mu2 when redraw_mu2 is off.
 FIXED_MU_STREAM = 2**32 - 1
+
+# replications per block of the reduced sampler: past 64 the stacked arrays
+# (about 1 MB at p = 500) cost more than the calls they save
+BLOCK = 64
 
 
 def check_classifiers(classifiers, valid) -> None:
@@ -206,7 +214,7 @@ class ExperimentConfig:
         """The mu2 shared by all replications, or None when redrawn per rep."""
         if self.fixed_delta is not None or self.scenario.redraw_mu2:
             return self.fixed_delta
-        rng = np.random.default_rng([self.master_seed, FIXED_MU_STREAM])
+        rng = replication_rng(self.master_seed, FIXED_MU_STREAM)
         return make_scenario_means(self.scenario, self.p, rng,
                                    self.mean_scale)
 
@@ -255,48 +263,103 @@ class ExperimentResult:
     classifiers: dict[str, ClassifierResult]
 
 
-def run_replication(config: ExperimentConfig, rep_index: int
-                    ) -> dict[str, tuple[int, int]]:
-    """One replication; returns per-classifier (group-1, group-2) miscounts."""
+def run_replication(config: ExperimentConfig, indices
+                    ) -> list[dict[str, tuple[int, int]]]:
+    """Replications ``indices`` of ``config``; per replication, in order,
+    each classifier's (group-1, group-2) test miscounts."""
     if config.sampler == "reduced":
-        return reduced_replication(config, rep_index)
-    return row_replication(config, rep_index)
+        return reduced_replication(config, indices)
+    return row_replication(config, indices)
 
 
-def row_replication(config: ExperimentConfig, rep_index: int
-                    ) -> dict[str, tuple[int, int]]:
-    """A replication from sampled rows; any config."""
-    return _replicate(config, rep_index, _row_training, _row_test)
+def row_replication(config: ExperimentConfig, indices
+                    ) -> list[dict[str, tuple[int, int]]]:
+    """Replications from sampled rows, one at a time; any config."""
+    return [counts for r in indices
+            for counts in _miscounts(config, _row_statistics, [r])]
 
 
-def reduced_replication(config: ExperimentConfig, rep_index: int
-                        ) -> dict[str, tuple[int, int]]:
-    """A replication without rows; normal innovations and n1 = n2 only."""
-    return _replicate(config, rep_index, _reduced_training, _projected_test)
+def reduced_replication(config: ExperimentConfig, indices
+                        ) -> list[dict[str, tuple[int, int]]]:
+    """Replications without rows, in blocks of ``BLOCK``; normal
+    innovations and n1 = n2 only."""
+    return [counts for start in range(0, len(indices), BLOCK)
+            for counts in _miscounts(config, reduced_statistics,
+                                     indices[start:start + BLOCK])]
 
 
-def _replicate(config: ExperimentConfig, rep_index: int, training, test
-               ) -> dict[str, tuple[int, int]]:
-    """The replication body. ``training(config, mu, rng)`` returns the
-    rules' ``classify.TrainedStats``, given the oracle's truth here, and
-    ``test(config, mu, stats, rng)`` the (m1 + m2) x k rule statistics."""
-    rng = np.random.default_rng([config.master_seed, rep_index])
+def replication_rng(seed: int, r: int) -> np.random.Generator:
+    """The generator of stream [seed, r]. As a uint32 array the pair seeds
+    the same stream as the list [seed, r], and faster; a seed of 2^32 or
+    more takes two words, so it goes as the list."""
+    if seed < 2**32:
+        return np.random.default_rng(np.array([seed, r], dtype=np.uint32))
+    return np.random.default_rng([seed, r])
+
+
+def _miscounts(config: ExperimentConfig, statistics, block
+               ) -> list[dict[str, tuple[int, int]]]:
+    """The miscounts of the replications in ``block``, whose rules'
+    statistics ``statistics(config, block)`` gives as block x (m1 + m2) x
+    k. A numerical error names the first replication that fails on its
+    own, which it finds by running the block's replications one by one."""
+    try:
+        scores = statistics(config, block)
+    except NumericalError as exc:
+        if len(block) == 1:
+            raise type(exc)(f"replication {block[0]}: {exc}") from exc
+        for r in block:
+            _miscounts(config, statistics, [r])
+        raise  # not reached: no replication depends on its block
+    m1 = config.test1
+    mis1 = (scores[:, :m1] > 0).sum(axis=1).tolist()
+    mis2 = (scores[:, m1:] <= 0).sum(axis=1).tolist()
+    return [dict(zip(config.classifiers, zip(a, b)))
+            for a, b in zip(mis1, mis2)]
+
+
+def _row_statistics(config: ExperimentConfig, block) -> np.ndarray:
+    """One replication's rule statistics from sampled rows, 1 x (m1 + m2)
+    x k: mu2 when redrawn, n1 + n2 training rows or means, then m1 + m2
+    test rows."""
+    (r,) = block
+    rng = replication_rng(config.master_seed, r)
     mu2 = config.fixed_mu2
     if mu2 is None:
         mu2 = make_scenario_means(config.scenario, config.p, rng,
                                   config.mean_scale)
     mu = (np.zeros(config.p), mu2)
-    truth = (*mu, config.sigma_inv) if "oracle" in config.classifiers else None
-    try:
-        stats = training(config, mu, rng)
-        stats.truth = truth
-        scores = test(config, mu, stats, rng)
-    except NumericalError as exc:
-        raise type(exc)(f"replication {rep_index}: {exc}") from exc
-    m1 = config.test1
-    mis1 = (scores[:m1] > 0).sum(axis=0).tolist()
-    mis2 = (scores[m1:] <= 0).sum(axis=0).tolist()
-    return dict(zip(config.classifiers, zip(mis1, mis2)))
+    stats = _row_training(config, mu, rng)
+    if "oracle" in config.classifiers:
+        stats.truth = (*mu, config.sigma_inv)
+    return _row_test(config, mu, stats, rng)[None]
+
+
+def reduced_statistics(config: ExperimentConfig, block) -> np.ndarray:
+    """The rule statistics of a block of replications without rows,
+    block x (m1 + m2) x k.
+
+    Each replication draws from its own stream what it drew alone, in the
+    same order: mu2 when redrawn, the training draw (``_reduced_training``)
+    and the test statistics' normals (``draw_test_statistics``). The
+    arithmetic runs once for the block on stacked arrays, with one matrix
+    product, QR or solve per replication at that replication's own shape
+    and sums along its own axis, so no replication's statistics depend on
+    the block it ran in.
+    """
+    rngs = [replication_rng(config.master_seed, r) for r in block]
+    mu2 = config.fixed_mu2
+    if mu2 is None:
+        mu2 = np.array([make_scenario_means(config.scenario, config.p, rng,
+                                            config.mean_scale)
+                        for rng in rngs])
+    mu = (np.zeros(config.p), mu2)
+    stats = _reduced_training(config, mu, rngs)
+    if "oracle" in config.classifiers:
+        stats.truth = (*mu, config.sigma_inv)
+    forms = classify.linear_forms(config.classifiers, stats)
+    return draw_test_statistics(forms, config.gamma, mu,
+                                [config.test1, config.test2], rngs)
 
 
 def _populations(config: ExperimentConfig, mu) -> tuple:
@@ -327,107 +390,140 @@ def _row_test(config: ExperimentConfig, mu, stats, rng) -> np.ndarray:
         config.classifiers, stats, Z).values()))
 
 
-def _reduced_training(config: ExperimentConfig, mu, rng
+def _each(times, V) -> np.ndarray:
+    """``times`` (a product with a matrix) of each row of V (..., p) on its
+    own: a matrix-vector product per row, not one product over the rows."""
+    return times(V[..., None])[..., 0]
+
+
+def _reduced_training(config: ExperimentConfig, mu, rngs
                       ) -> classify.TrainedStats:
-    """The training draw from its sufficient statistics, exactly in law
-    for normal innovations: xbar ~ N(mu1, Sigma/n1), ybar ~ N(mu2, Sigma/n2)
-    and, for the D-rule and naive Bayes, the pooled scatter A = Gamma W
-    Gamma, W ~ W_p(I, n1 + n2 - 2). Naive Bayes reads all of diag A, so
-    with it W = T T' is drawn whole, T from Bartlett's decomposition, and
-    the D-rule keeps the root (Gamma, T) as well as its direction.
-    Without it the D-rule reads A only through u = A^-1 (xbar - ybar),
-    which ``whitened_solve`` draws from an at most 4 x 4 Wishart."""
+    """A block's training draws from their sufficient statistics, exactly
+    in law for normal innovations, as the record of (B, p) rows:
+    xbar ~ N(mu1, Sigma/n1), ybar ~ N(mu2, Sigma/n2) and, for the D-rule
+    and naive Bayes, the pooled scatter A = Gamma W Gamma,
+    W ~ W_p(I, n1 + n2 - 2). Naive Bayes reads all of diag A, so with it
+    each replication draws its p x p Bartlett factor of W in turn
+    (``bartlett_scatter``). Without it the D-rule reads A only through
+    u = A^-1 (xbar - ybar), which ``whitened_solve`` draws from an at most
+    4 x 4 Wishart."""
     gamma, p, rules = config.gamma, config.p, config.classifiers
-    z1, z2 = rng.standard_normal((2, p))
+    z = np.array([rng.standard_normal((2, p)) for rng in rngs])
+    mixed = _each(gamma.mix, z)
     stats = classify.TrainedStats(
-        mu[0] + gamma.mix(z1) / math.sqrt(config.n1),
-        mu[1] + gamma.mix(z2) / math.sqrt(config.n2), config.n1, config.n2)
+        mu[0] + mixed[:, 0] / math.sqrt(config.n1),
+        mu[1] + mixed[:, 1] / math.sqrt(config.n2), config.n1, config.n2)
     dof = config.n1 + config.n2 - 2
     if "nb" in rules:
-        T = bartlett_factor(p, dof, rng)
-        stats.variances = np.sum(gamma.mix(T) ** 2, axis=1) / dof
+        # one replication's record at a time, so that the block never
+        # holds more than one p x p factor
+        stats.variances = np.empty_like(stats.mean_x)
         if "d" in rules:
-            stats.root = (gamma, T)
-            stats.direction = gamma.unmix(classify.drawn_root_solve(
-                T, gamma.unmix(stats.mean_x - stats.mean_y)))
+            stats.direction = np.empty_like(stats.mean_x)
+        for i, rng in enumerate(rngs):
+            one = classify.TrainedStats(stats.mean_x[i], stats.mean_y[i],
+                                        config.n1, config.n2)
+            bartlett_scatter(config, one, rng)
+            stats.variances[i] = one.variances
+            if "d" in rules:
+                stats.direction[i] = one.direction
     elif "d" in rules:
         # the whitened means Gamma^-1 xbar (mu1 = 0) and Gamma^-1 ybar,
         # whose difference Gamma^-1 (xbar - ybar) the D-rule's solve reads
         white_mu2 = config.white_fixed_mu2
         if white_mu2 is None:  # mu2 is redrawn in each replication
-            white_mu2 = gamma.unmix(mu[1])
-        white_x = z1 / math.sqrt(config.n1)
-        white_y = white_mu2 + z2 / math.sqrt(config.n2)
+            white_mu2 = _each(gamma.unmix, mu[1])
+        white_x = z[:, 0] / math.sqrt(config.n1)
+        white_y = white_mu2 + z[:, 1] / math.sqrt(config.n2)
         # u = A^-1 (xbar - ybar) is read through m'u and mu2'u, and
         # through Gamma u in the QR of the rules' Gamma w: its norm and
         # its products with Gamma (xbar - ybar) for T and with the
         # oracle's Gamma Sigma^-1 (mu1 - mu2) = -Gamma^-1 mu2
         reads = [(white_x + white_y) / 2.0, white_mu2]
         if "t" in rules:
-            reads.append(gamma.mix(stats.mean_x - stats.mean_y))
-        stats.direction = gamma.unmix(whitened_solve(
-            white_x - white_y, np.column_stack(reads), dof, rng))
+            reads.append(_each(gamma.mix, stats.mean_x - stats.mean_y))
+        stats.direction = _each(gamma.unmix, whitened_solve(
+            white_x - white_y, np.stack(np.broadcast_arrays(*reads), -1),
+            dof, rngs))
     return stats
 
 
-def _projected_test(config: ExperimentConfig, mu, stats, rng) -> np.ndarray:
-    """Both test groups' statistics, drawn from the rules' linear forms."""
-    forms = classify.linear_forms(config.classifiers, stats)
-    return draw_test_statistics(forms, config.gamma, mu,
-                                [config.test1, config.test2], rng)
+def bartlett_scatter(config: ExperimentConfig, stats, rng) -> None:
+    """Complete one replication's record ``stats`` from a p x p Bartlett
+    factor T of W ~ W_p(I, n1 + n2 - 2), A = Gamma T T' Gamma: naive
+    Bayes' pooled variances and, for the D-rule, the root (Gamma, T) and
+    the direction A^-1 (xbar - ybar)."""
+    gamma, dof = config.gamma, config.n1 + config.n2 - 2
+    T = bartlett_factor(config.p, dof, rng)
+    stats.variances = np.sum(gamma.mix(T) ** 2, axis=1) / dof
+    if "d" in config.classifiers:
+        stats.root = (gamma, T)
+        stats.direction = gamma.unmix(classify.drawn_root_solve(
+            T, gamma.unmix(stats.mean_x - stats.mean_y)))
 
 
-def whitened_solve(e, reads, dof: int, rng) -> np.ndarray:
-    """v = W^-1 e for a fresh W ~ W_p(I, dof), exactly in law, without
-    drawing W.
+def whitened_solve(e, reads, dof: int, rngs) -> np.ndarray:
+    """v = W^-1 e for a fresh W ~ W_p(I, dof) per row of e (B, p), one
+    generator of ``rngs`` each, exactly in law, without drawing W.
 
-    Q, an orthonormal basis of the span of e and the columns of ``reads``
-    (at most 3), comes from their QR, e = Q r; it has k = min(p, 1 +
-    reads' columns) columns. Rotated to that basis, the Wishart partition
-    theorem (Anderson, *An Introduction to Multivariate Statistical
-    Analysis*, sec. 7.3) gives Q'v = S^-1 r with S ~ W_k(I, dof - p + k)
-    the Schur complement of the other p - k coordinates, and, independent
-    of S, the rest of v as ||S^-1 r|| g / sqrt(chi^2(dof - p + k + 1))
-    with g ~ N(0, I - Q Q'). So W's p x p factor is never drawn. The
-    caller reads v through reads' v and ||v||: the products come from the
-    solve with S alone, which is the matrix the condition guard checks.
+    Q, an orthonormal basis of the span of e and the columns of its
+    ``reads`` (p x c, at most 3 columns, or a stack of one per row), comes
+    from their QR, e = Q r; it has k = min(p, 1 + c) columns. Rotated to
+    that basis, the Wishart partition theorem (Anderson, *An Introduction
+    to Multivariate Statistical Analysis*, sec. 7.3) gives Q'v = S^-1 r
+    with S ~ W_k(I, dof - p + k) the Schur complement of the other p - k
+    coordinates, and, independent of S, the rest of v as
+    ||S^-1 r|| g / sqrt(chi^2(dof - p + k + 1)) with g ~ N(0, I - Q Q').
+    So W's p x p factor is never drawn. The caller reads v through reads'
+    v and ||v||: the products come from the solve with S alone, which is
+    the matrix the condition guard checks.
     """
-    Q, R = lapack.qr(np.column_stack([e, reads]))
-    p, k = Q.shape
+    reads = np.broadcast_to(reads, e.shape + np.shape(reads)[-1:])
+    Q, R = np.linalg.qr(np.concatenate([e[..., None], reads], axis=-1))
+    p, k = Q.shape[-2:]
+    factors = np.array([bartlett_factor(k, dof - p + k, rng)
+                        for rng in rngs])
     a = classify.drawn_root_solve(
-        bartlett_factor(k, dof - p + k, rng), R[:, 0],
-        "Schur complement of the whitened pooled scatter")
-    v = Q @ a
+        factors, R[..., 0], "Schur complement of the whitened pooled scatter")
+    v = (Q @ a[..., None])[..., 0]
     if k < p:
-        g = rng.standard_normal(p)
-        g -= Q @ (Q.T @ g)
-        v += math.sqrt(a @ a / rng.chisquare(dof - p + k + 1)) * g
+        tails = [(rng.standard_normal(p), rng.chisquare(dof - p + k + 1))
+                 for rng in rngs]
+        g = np.array([g for g, _ in tails])
+        g -= (Q @ (np.swapaxes(Q, -1, -2) @ g[..., None]))[..., 0]
+        chi2 = np.array([chi2 for _, chi2 in tails])
+        v += np.sqrt(classify.row_dot(a, a) / chi2)[:, None] * g
     return v
 
 
-def draw_test_statistics(forms, gamma: MixingMatrix, mu, m, rng
+def draw_test_statistics(forms, gamma: MixingMatrix, mu, m, rngs
                          ) -> np.ndarray:
     """The k rules' statistics of test rows z ~ N(mu, Gamma^2), exactly in
-    law.
+    law, for a block of replications: one generator of ``rngs`` each.
 
-    ``mu`` and ``m`` are sequences of the groups' means and row counts;
-    the groups' rows come out in that order. ``forms`` maps each rule to
-    (c, w), its statistic c + w'z.
+    ``mu`` and ``m`` are sequences of the groups' means (p or B x p) and
+    row counts; the groups' rows come out in that order. ``forms`` maps
+    each rule to (c, w), its statistic c + w'z, with c a number or one per
+    replication and w p or B x p.
     A row z = mu + Gamma zeta gives c + W'mu + V'zeta with V = Gamma W.
     With V = QR (Q with orthonormal columns), V'zeta = R'(Q'zeta) and
     Q'zeta ~ N(0, I): min(p, k) normals per row keep the joint law of the
     rules, also when columns of W are zero or coincide. One QR and one
     draw serve every group: the normals come in the order that a draw per
-    group takes them. Returns (sum of m) x k.
+    group takes them. Returns B x (sum of m) x k.
     """
-    c = np.array([form[0] for form in forms.values()])
-    W = np.column_stack([form[1] for form in forms.values()])
-    R = lapack.qr(gamma.mix(W), mode="r")
-    out = rng.standard_normal((sum(m), R.shape[0])) @ R
+    c = np.stack(np.broadcast_arrays(*(form[0] for form in forms.values())),
+                 axis=-1)
+    W = np.stack(np.broadcast_arrays(*(form[1] for form in forms.values())),
+                 axis=-1)
+    R = np.linalg.qr(gamma.mix(W), mode="r")
+    rows = (sum(m), R.shape[-2])
+    out = np.array([rng.standard_normal(rows) for rng in rngs]) @ R
     start = 0
-    for mean, rows in zip(mu, m):
-        out[start:start + rows] += c + mean @ W
-        start += rows
+    for mean, count in zip(mu, m):
+        out[:, start:start + count] += (c[..., None, :]
+                                        + mean[..., None, :] @ W)
+        start += count
     return out
 
 
@@ -459,7 +555,7 @@ def pooled_variances_from_data(X, Y) -> np.ndarray:
 
 def _run_chunk(args) -> list[dict[str, tuple[int, int]]]:
     config, indices = args
-    return [run_replication(config, r) for r in indices]
+    return run_replication(config, indices)
 
 
 class WorkerPool:
@@ -510,6 +606,9 @@ def worker_pool(workers: int, configs):
         if size == 1:
             yield WorkerPool(queued, size)
             return
+        # imported here, so that a run on one process never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=size,
                                  initializer=_pin_one_blas_thread) as executor:
             try:

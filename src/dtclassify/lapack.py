@@ -4,21 +4,23 @@ numpy (>= 2.0, as built for PyPI) links scipy-openblas, an OpenBLAS with
 64-bit integers whose exported names carry a ``scipy_`` prefix and a
 ``64_`` suffix. The rules need three LAPACK routines from it -- the
 Cholesky factorization (dpotrf), triangular solves (dtrtrs) and the 1-norm
-condition estimate (dpocon) -- the reduced sampler two more, the QR
-factorization (dgeqrf) and its Q (dorgqr), and the harness needs the
-library's thread count. All are bound here through ``ctypes``, once per process, from the
+condition estimate (dpocon) -- and the harness needs the library's thread
+count. All are bound here through ``ctypes``, once per process, from the
 library that numpy's core extension has loaded, so there is one OpenBLAS
 in the process and this is its one handle.
 
 Every routine takes the lower triangular factor L of A = L L' in either
 memory order: an F-ordered L is passed as the lower triangle, a C-ordered
 one as the upper triangle L' of the same A = (L')' L', so neither is
-copied.
+copied. The solves and the condition estimate also take a C-ordered stack
+of factors, one LAPACK call per factor, each the call that factor would
+get alone.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -56,10 +58,6 @@ _dtrtrs = _bind("dtrtrs_", [_CHAR, _CHAR, _CHAR, _INT_P, _INT_P, _ARRAY,
                             _LENGTH, _LENGTH, _LENGTH], None)
 _dpocon = _bind("dpocon_", [_CHAR, _INT_P, _ARRAY, _INT_P, _DOUBLE_P,
                             _DOUBLE_P, _ARRAY, _ARRAY, _INT_P, _LENGTH], None)
-_dgeqrf = _bind("dgeqrf_", [_INT_P, _INT_P, _ARRAY, _INT_P, _ARRAY, _ARRAY,
-                            _INT_P, _INT_P], None)
-_dorgqr = _bind("dorgqr_", [_INT_P, _INT_P, _INT_P, _ARRAY, _INT_P, _ARRAY,
-                            _ARRAY, _INT_P, _INT_P], None)
 _get_threads = _bind("openblas_get_num_threads", [], ctypes.c_int)
 _set_threads = _bind("openblas_set_num_threads", [ctypes.c_int], None)
 
@@ -87,19 +85,22 @@ def _address(a: np.ndarray) -> int:
     return a.ctypes.data
 
 
-def _order(a: np.ndarray) -> int:
-    """The order n of a square float64 matrix stored contiguously."""
-    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1]:
+def _factors(L: np.ndarray) -> tuple[int, bytes, bool, list[int]]:
+    """(n, uplo, flipped, addresses) of a lower triangular factor L of
+    order n in either memory order, or of a C-ordered stack (..., n, n) of
+    them: how LAPACK sees each factor's memory (``flipped`` when it is
+    passed as the upper triangle L') and where each factor starts."""
+    if L.dtype != np.float64 or L.ndim < 2 or L.shape[-1] != L.shape[-2]:
         raise ValueError(f"expected a square float64 matrix, got "
-                         f"{a.dtype} of shape {a.shape}")
-    if not (a.flags.f_contiguous or a.flags.c_contiguous):
+                         f"{L.dtype} of shape {L.shape}")
+    fortran = L.ndim == 2 and L.flags.f_contiguous
+    if not (fortran or L.flags.c_contiguous):
         raise ValueError("the matrix must be contiguous")
-    return a.shape[0]
-
-
-def _factor_triangle(L: np.ndarray) -> tuple[bytes, bool]:
-    """(uplo, transposed): how LAPACK sees the lower factor L's memory."""
-    return (b"L", False) if L.flags.f_contiguous else (b"U", True)
+    n = L.shape[-1]
+    start, size = _address(L), n * n * L.itemsize
+    count = math.prod(L.shape[:-2])
+    return (n, b"L" if fortran else b"U", not fortran,
+            [start + i * size for i in range(count)])
 
 
 def _check(info: _INT, routine: str) -> int:
@@ -117,9 +118,9 @@ def cholesky(a) -> np.ndarray:
     ``numpy.linalg.LinAlgError`` if ``a`` is not positive definite.
     """
     L = np.array(a, dtype=np.float64, order="F")
-    n = _order(L)
+    n, uplo, _, (factor,) = _factors(L)
     info = _INT()
-    _dpotrf(b"L", _INT(n), _address(L), _INT(max(n, 1)), info, 1)
+    _dpotrf(uplo, _INT(n), factor, _INT(max(n, 1)), info, 1)
     if _check(info, "dpotrf"):
         raise np.linalg.LinAlgError(
             f"leading minor of order {info.value} is not positive definite")
@@ -130,95 +131,65 @@ def solve_triangular(L: np.ndarray, b, trans: bool = False) -> np.ndarray:
     """L^-1 b, or L'^-1 b with ``trans``, for a lower triangular L.
 
     dtrtrs on L's own memory; ``b`` is a vector or a matrix of right-hand
-    sides, and a new array of its shape is returned. Raises
-    ``numpy.linalg.LinAlgError`` if L has a zero on its diagonal.
+    sides, and a new array of its shape is returned. For a stack of factors
+    (..., n, n), ``b`` holds one right-hand side per factor, (..., n).
+    Raises ``numpy.linalg.LinAlgError`` if L has a zero on its diagonal.
     """
     return _solves(L, b, (trans,))
 
 
 def cholesky_solve(L: np.ndarray, b) -> np.ndarray:
-    """(L L')^-1 b for a lower triangular L: ``solve_triangular`` with L,
-    then with L', on one copy of ``b``."""
+    """(L L')^-1 b for a lower triangular L, or a stack as
+    ``solve_triangular`` takes: ``solve_triangular`` with L, then with L',
+    on one copy of ``b``."""
     return _solves(L, b, (False, True))
 
 
 def _solves(L: np.ndarray, b, transposes) -> np.ndarray:
-    n = _order(L)
-    uplo, flipped = _factor_triangle(L)
-    x = np.array(b, dtype=np.float64, order="F")
-    if x.ndim not in (1, 2) or x.shape[0] != n:
+    n, uplo, flipped, factors = _factors(L)
+    stack = L.ndim > 2
+    # a stack's right-hand sides are its rows, each contiguous
+    x = np.array(b, dtype=np.float64, order="C" if stack else "F")
+    if (x.shape != L.shape[:-1] if stack
+            else x.ndim not in (1, 2) or x.shape[0] != n):
         raise ValueError(f"right-hand side of shape {x.shape} does not "
-                         f"match order {n}")
-    nrhs = _INT(1 if x.ndim == 1 else x.shape[1])
+                         f"match factors of shape {L.shape}")
+    nrhs = _INT(1 if x.ndim == 1 or stack else x.shape[1])
     order, lead, info = _INT(n), _INT(max(n, 1)), _INT()
-    factor, rhs = _address(L), _address(x)
-    for trans in transposes:
-        _dtrtrs(uplo, b"T" if trans != flipped else b"N", b"N", order, nrhs,
-                factor, lead, rhs, lead, info, 1, 1, 1)
-        if _check(info, "dtrtrs"):
-            raise np.linalg.LinAlgError(
-                f"triangular factor has a zero at diagonal {info.value}")
+    start = _address(x)
+    for i, factor in enumerate(factors):
+        for trans in transposes:
+            _dtrtrs(uplo, b"T" if trans != flipped else b"N", b"N", order,
+                    nrhs, factor, lead, start + i * n * x.itemsize, lead,
+                    info, 1, 1, 1)
+            if _check(info, "dtrtrs"):
+                raise np.linalg.LinAlgError(
+                    f"triangular factor has a zero at diagonal {info.value}")
     return x
 
 
-def reciprocal_condition(L: np.ndarray, anorm: float) -> float:
+def reciprocal_condition(L: np.ndarray, anorm):
     """dpocon's estimate of 1 / cond_1(A) for A = L L', from L.
 
     ``anorm`` is ||A||_1, or a bound on it from above, which then lowers
     the estimate by the bound's slack. L is read in place, as for
-    ``solve_triangular``.
+    ``solve_triangular``. For a stack of factors (..., n, n), ``anorm``
+    holds one norm per factor and an array of estimates is returned.
     """
-    n = _order(L)
-    uplo, _ = _factor_triangle(L)
+    n, uplo, _, factors = _factors(L)
+    norms = np.broadcast_to(np.asarray(anorm, dtype=float), L.shape[:-2])
     # work, 3n doubles, then iwork, n 64-bit integers, in one buffer
     buffer = np.empty(max(4 * n, 1))
     work = _address(buffer)
-    rcond, info = ctypes.c_double(), _INT()
-    _dpocon(uplo, _INT(n), _address(L), _INT(max(n, 1)),
-            ctypes.c_double(anorm), rcond, work, work + 3 * n * 8, info, 1)
-    _check(info, "dpocon")
-    return rcond.value
-
-
-# doubles of workspace per column: at least the optimal workspace of dgeqrf
-# and dorgqr, n times the block size 32 that LAPACK's ilaenv gives both
-_WORK_PER_COLUMN = 64
-
-
-def qr(a, mode: str = "reduced"):
-    """``numpy.linalg.qr(a, mode)`` of a real matrix, for mode "reduced"
-    or "r".
-
-    dgeqrf, and dorgqr for Q, on an F-ordered copy of ``a``: the routines
-    that numpy.linalg calls, in the same library, so Q and R are numpy's to
-    the bit and in its C order, without the error-state, ``triu`` and type
-    dispatch around them. Q is m x min(m, n), R is min(m, n) x n; "reduced"
-    returns (Q, R) and "r" returns R.
-    """
-    if mode not in ("reduced", "r"):
-        raise ValueError(f"unknown mode {mode!r}")
-    h = np.array(a, dtype=np.float64, order="F")
-    if h.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {h.shape}")
-    m, n = h.shape
-    k = min(m, n)
-    # tau in the first k entries, the workspace after them
-    buffer = np.empty(k + _WORK_PER_COLUMN * max(n, 1))
-    tau = _address(buffer)
-    work = tau + k * buffer.itemsize
-    rows, lead, lwork, info = _INT(m), _INT(max(m, 1)), \
-        _INT(buffer.size - k), _INT()
-    _dgeqrf(rows, _INT(n), _address(h), lead, tau, work, lwork, info)
-    _check(info, "dgeqrf")
-    R = h[:k].copy()
-    R[strictly_lower(k, n)] = 0.0
-    if mode == "r":
-        return R
-    Q = h[:, :k]  # the first k columns of h, still F-contiguous
-    _dorgqr(rows, _INT(k), _INT(k), _address(Q), lead, tau, work, lwork,
-            info)
-    _check(info, "dorgqr")
-    return np.ascontiguousarray(Q), R
+    order, lead, info = _INT(n), _INT(max(n, 1)), _INT()
+    rcond = ctypes.c_double()
+    out = np.empty(len(factors))
+    for i, (factor, norm) in enumerate(zip(factors, norms.flat)):
+        _dpocon(uplo, order, factor, lead, ctypes.c_double(norm), rcond,
+                work, work + 3 * n * 8, info, 1)
+        _check(info, "dpocon")
+        out[i] = rcond.value
+    return out.reshape(L.shape[:-2]) if L.ndim > 2 else float(out[0])
 
 
 @lru_cache(maxsize=32)

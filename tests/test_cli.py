@@ -227,6 +227,25 @@ def test_uncalibrated_delocalized_mean_names_its_config_paths(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["equal_corr", "ar1"])
+@pytest.mark.parametrize("command", [["simulate"], ["theory", "t"]])
+def test_calibration_past_one_dimension_names_its_config_paths(
+        tmp_path, capsys, command, kind):
+    # the delocalized law's beta^2 for correlated Sigma needs p >= 2
+    config = write(tmp_path, "[experiment]\np = 1\nn1 = 15\nn2 = 15\n"
+                   "reps = 5\nseed = 5\n\n[covariance]\n"
+                   f"kind = {kind}\nrho = 0.3\n\n[scenario]\n"
+                   "kind = delocalized\nn0 = 1\n\n[classifiers]\nlist = t\n")
+    args = [*command, "--config", str(config)]
+    if command == ["simulate"]:
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: [experiment].p, [scenario].kind: the delocalized mean's "
+        f"calibration for {kind} needs p >= 2, got p = 1\n")
+    assert not (tmp_path / "out").exists()
+
+
 def write_dataset(tmp_path, rng, stem, n_per=10, p=5, gap=8.0):
     X = rng.standard_normal((n_per, p))
     Y = rng.standard_normal((n_per, p)) + gap

@@ -1,5 +1,6 @@
 """Monte Carlo harness: configs, determinism, and sanity of the errors."""
 
+import concurrent.futures
 import importlib.util
 import multiprocessing
 import os
@@ -138,7 +139,8 @@ def fake_pool(monkeypatch):
 
     return SimpleNamespace(sizes=sizes, submitted=submitted,
                            install=lambda: monkeypatch.setattr(
-                               harness, "ProcessPoolExecutor", FakePool))
+                               concurrent.futures, "ProcessPoolExecutor",
+                               FakePool))
 
 
 class TestReplications:
@@ -157,7 +159,7 @@ class TestReplications:
 
     def test_replication_counts_bounded_by_test_sizes(self):
         config = small_config(m1=6, m2=8)
-        counts = run_replication(config, 0)
+        (counts,) = run_replication(config, [0])
         for mis1, mis2 in counts.values():
             assert 0 <= mis1 <= 6 and 0 <= mis2 <= 8
 
@@ -188,7 +190,7 @@ class TestReplications:
         # rerunning a replication reproduces its counts exactly
         config = small_config(
             scenario=ScenarioSpec("delocalized", 5, redraw_mu2=False))
-        assert run_replication(config, 3) == run_replication(config, 3)
+        assert run_replication(config, [3]) == run_replication(config, [3])
 
     def test_mirrored_mean_difference_is_statistically_equivalent(self):
         # flipping the sign of the (normal-innovation) mean difference
@@ -225,12 +227,12 @@ class TestReplications:
         monkeypatch.setattr(
             harness.PopulationModel, "sample_mean",
             lambda self, n, rng: means.append(n) or real_mean(self, n, rng))
-        run_replication(config, 0)
+        run_replication(config, [0])
         assert sizes == [6, 9] and means == [20, 25]
         sizes.clear()
         means.clear()
         run_replication(small_config(n2=25, m1=6, m2=9, reps=2,
-                                     classifiers=("t", "nb")), 0)
+                                     classifiers=("t", "nb")), [0])
         assert sizes == [20, 25, 6, 9] and means == []
 
     def test_t_errors_agree_in_law_with_rows_drawn(self):
@@ -430,6 +432,16 @@ class TestConfigMembers:
                               rng.uniform(e / 2.0, 3.0 * e / 2.0, 10))
         assert config.fixed_delta is None
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 5])
+    def test_replication_stream_is_the_seed_list_stream(self, seed):
+        # the uint32 array seeds the stream that the list [seed, r] seeds
+        for r in (0, 7, harness.FIXED_MU_STREAM):
+            ours = harness.replication_rng(seed, r)
+            reference = np.random.default_rng([seed, r])
+            np.testing.assert_array_equal(ours.standard_normal(8),
+                                          reference.standard_normal(8))
+            assert ours.integers(2**63) == reference.integers(2**63)
+
     def test_known_mean_difference_is_fixed(self):
         config = small_config(scenario=ScenarioSpec("localized", 3))
         assert np.array_equal(config.fixed_delta, [1.0] * 3 + [0.0] * 7)
@@ -519,7 +531,7 @@ class TestBlasThreads:
             events.append("point")
             return real_run(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Logged)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Logged)
         monkeypatch.setattr(lapack, "set_blas_threads", logged_set)
         monkeypatch.setattr(reproduce_module, "run_experiment", logged_run)
         reproduce("table1", table_reps=50, workers=2)
@@ -550,11 +562,11 @@ class TestQueuedGrid:
         real_rep, real_forms = harness.run_replication, classify.linear_forms
         current = {}
 
-        def logged(config, rep_index):
+        def logged(config, indices):  # a line per replication
             current["rho"] = config.covariance.rho
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{config.covariance.rho}\n")
-            return real_rep(config, rep_index)
+                fh.write(f"{config.covariance.rho}\n" * len(indices))
+            return real_rep(config, indices)
 
         def forms(*args, **kwargs):
             if current["rho"] == 0.0:

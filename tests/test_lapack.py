@@ -99,37 +99,6 @@ class TestBindings:
             lapack.solve_triangular(L.astype(np.float32), np.ones(4))
 
 
-class TestQR:
-    """QR from dgeqrf and dorgqr, against numpy.linalg.qr to the bit."""
-
-    @pytest.mark.parametrize("p", [1, 4, 50, 500])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_bitwise_equal_to_numpy(self, p, k):
-        # k > p at p = 1 and p = 4 < k: Q is p x p and R is p x k
-        a = np.random.default_rng(10 * p + k).standard_normal((p, k))
-        Q, R = lapack.qr(a)
-        reference_q, reference_r = np.linalg.qr(a)
-        for ours, theirs in ((Q, reference_q), (R, reference_r),
-                             (lapack.qr(a, mode="r"),
-                              np.linalg.qr(a, mode="r"))):
-            assert ours.shape == theirs.shape
-            assert ours.flags.c_contiguous == theirs.flags.c_contiguous
-            np.testing.assert_array_equal(ours.view(np.int64),
-                                          theirs.view(np.int64))
-        assert Q.shape == (p, min(p, k)) and R.shape == (min(p, k), k)
-
-    def test_leaves_its_argument_alone(self):
-        a = np.arange(12.0).reshape(4, 3)
-        lapack.qr(a)
-        assert np.array_equal(a, np.arange(12.0).reshape(4, 3))
-
-    def test_rejects_other_modes_and_shapes(self):
-        with pytest.raises(ValueError, match="mode"):
-            lapack.qr(np.eye(3), mode="complete")
-        with pytest.raises(ValueError, match="matrix"):
-            lapack.qr(np.ones(3))
-
-
 @pytest.mark.parametrize("layout", ["F", "C"])
 def test_cholesky_solve_is_two_triangular_solves(layout):
     L = lapack.cholesky(spd(5, 2))
@@ -137,6 +106,29 @@ def test_cholesky_solve_is_two_triangular_solves(layout):
     b = np.random.default_rng(3).standard_normal(5)
     two = lapack.solve_triangular(L, lapack.solve_triangular(L, b), trans=True)
     np.testing.assert_array_equal(lapack.cholesky_solve(L, b), two)
+
+
+def test_a_stack_gets_each_factors_own_calls():
+    # the condition estimates and solves of a C-ordered stack of factors
+    # are those of each factor alone, to the bit
+    rng = np.random.default_rng(6)
+    L = np.array([np.tril(rng.standard_normal((4, 4))) + 4.0 * np.eye(4)
+                  for _ in range(5)])
+    b = rng.standard_normal((5, 4))
+    anorm = rng.uniform(1.0, 2.0, 5)
+    rcond = lapack.reciprocal_condition(L, anorm)
+    x = lapack.cholesky_solve(L, b)
+    assert rcond.shape == (5,) and x.shape == (5, 4)
+    for i in range(5):
+        assert rcond[i] == lapack.reciprocal_condition(L[i], anorm[i])
+        np.testing.assert_array_equal(x[i], lapack.cholesky_solve(L[i], b[i]))
+        np.testing.assert_array_equal(
+            lapack.solve_triangular(L, b, trans=True)[i],
+            lapack.solve_triangular(L[i], b[i], trans=True))
+    with pytest.raises(ValueError, match="does not match"):
+        lapack.cholesky_solve(L, b[:, :3])
+    with pytest.raises(ValueError, match="contiguous"):
+        lapack.cholesky_solve(np.asfortranarray(L), b)
 
 
 def test_strictly_lower_mask_is_shared_and_read_only():

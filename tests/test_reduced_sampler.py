@@ -8,7 +8,9 @@ Bartlett factor; without it, the D-rule's A^-1 (xbar - ybar) comes from an
 at most 4 x 4 Schur complement (``harness.whitened_solve``). The samplers
 draw different random numbers, so they are compared in law: the Bartlett
 and Schur draws' moments, each rule's linear form against its statistics
-function, and two-sample tests on the per-replication errors.
+function, and two-sample tests on the per-replication errors. The reduced
+sampler runs replications in blocks, and a replication's statistics must
+not depend on its block.
 """
 
 import numpy as np
@@ -47,7 +49,7 @@ def per_rep_errors(path, config) -> np.ndarray:
     before = lapack.blas_threads()
     lapack.set_blas_threads(1)
     try:
-        counts = [path(config, r) for r in range(config.reps)]
+        counts = path(config, range(config.reps))
     finally:
         lapack.set_blas_threads(before)
     m = config.test1 + config.test2
@@ -74,7 +76,7 @@ class TestDispatch:
         for name in ("row_replication", "reduced_replication"):
             monkeypatch.setattr(harness, name,
                                 lambda c, r, name=name: taken.append(name))
-        harness.run_replication(config, 0)
+        harness.run_replication(config, [0])
         assert taken == [{"rows": "row_replication",
                           "reduced": "reduced_replication"}[sampler]]
 
@@ -131,8 +133,9 @@ class TestWhitenedSolve:
         dof, n = p + 15, 10000
         e = rng.standard_normal(p)
         columns = rng.standard_normal((p, reads))
-        draws = np.array([harness.whitened_solve(e, columns, dof, rng)
-                          for _ in range(n)])
+        # one block of n solves, each drawing from the same generator
+        draws = harness.whitened_solve(np.tile(e, (n, 1)), columns, dof,
+                                       [rng] * n)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - e / (dof - p - 1))
                       < 4.5 * se)
@@ -159,15 +162,15 @@ class TestWhitenedSolve:
             seen.append(p)
             return real_factor(p, dof, rng)
 
-        def solve(T, v, *name):
-            solved.append(T.shape)
+        def solve(T, v, *name):  # a stack's factors are each k x k
+            solved.append(T.shape[-2:])
             return real_solve(T, v, *name)
 
         monkeypatch.setattr(harness, "bartlett_factor", factor)
         monkeypatch.setattr(classify, "drawn_root_solve", solve)
         config = config_of(covariance=SPECS["ar1"], classifiers=rules, reps=1)
         assert config.p == 8
-        counts = harness.reduced_replication(config, 0)
+        (counts,) = harness.reduced_replication(config, [0])
         assert set(counts) == set(rules)
         assert seen == sizes
         assert solved == ([(k, k) for k in sizes] if "d" in rules else [])
@@ -178,8 +181,9 @@ class TestWhitenedSolve:
     ])
     def test_schur_path_keeps_the_whitened_means(self, monkeypatch, scenario,
                                                  unmixes):
-        # Gamma^-1 is applied only to the solution u and, when mu2 is
-        # redrawn, to mu2; a fixed mu2's Gamma^-1 mu2 is the config's
+        # Gamma^-1 is applied only to the solutions u and, when mu2 is
+        # redrawn, to mu2, once per block to each replication's vector;
+        # a fixed mu2's Gamma^-1 mu2 is the config's
         calls = []
         real_unmix = MixingMatrix.unmix
         monkeypatch.setattr(
@@ -189,16 +193,27 @@ class TestWhitenedSolve:
                            classifiers=("d", "t", "oracle"), reps=2)
         config.white_fixed_mu2  # built once per config, before the count
         calls.clear()
-        for r in range(config.reps):
-            harness.reduced_replication(config, r)
-        assert calls == [(8,)] * (unmixes * config.reps)
+        harness.reduced_replication(config, range(config.reps))
+        assert calls == [(config.reps, 8, 1)] * unmixes
 
     def test_guard_names_the_schur_complement(self, monkeypatch):
-        monkeypatch.setattr(covariance, "CONDITION_LIMIT", 1.0)
-        config = config_of(classifiers=("d", "t"), reps=2)
+        # a limit between the condition estimates of replications 0 and 1,
+        # so that in the block of 0, 1 and 2 the first to fail is 1
+        estimates = []
+        real = lapack.reciprocal_condition
+        monkeypatch.setattr(
+            lapack, "reciprocal_condition",
+            lambda L, anorm: estimates.append(1.0 / real(L, anorm))
+            or real(L, anorm))
+        config = config_of(classifiers=("d", "t"), reps=3)
+        harness.reduced_replication(config, range(3))
+        (cond,) = estimates
+        assert cond.shape == (3,) and cond[1] > cond[0]
+        monkeypatch.setattr(covariance, "CONDITION_LIMIT",
+                            (cond[0] + cond[1]) / 2.0)
         with pytest.raises(ConditioningError,
                            match="replication 1: Schur complement"):
-            harness.reduced_replication(config, 1)
+            harness.reduced_replication(config, range(3))
 
 
 class TestGoldenCounts:
@@ -207,7 +222,8 @@ class TestGoldenCounts:
     The reduced sampler's per-call work may change; its draws and results
     may not. These counts are the Bartlett path (every rule, a redrawn
     delocalized mean, equal correlation), the Schur path (the D-rule alone)
-    and the T-rule alone, as the sampler gave them at that commit.
+    and the T-rule alone, as the sampler gave them at that commit, one
+    replication at a time; run as one block, it gives them too.
     """
 
     CASES = {
@@ -230,8 +246,45 @@ class TestGoldenCounts:
         overrides, expected = self.CASES[case]
         config = config_of(reps=len(expected), **overrides)
         assert config.sampler == "reduced"
-        assert [harness.reduced_replication(config, r)
+        assert harness.reduced_replication(config, range(config.reps)) \
+            == expected
+        assert [harness.reduced_replication(config, [r])[0]
                 for r in range(config.reps)] == expected
+
+
+class TestBlocks:
+    """A replication's statistics do not depend on the block it ran in."""
+
+    @pytest.mark.parametrize("rules", [("t",), ("d",), ("d", "t", "oracle"),
+                                       RULES], ids="+".join)
+    @pytest.mark.parametrize("kind", ["identity", "equal_corr", "ar1",
+                                      "diagonal"])
+    def test_statistics_equal_in_any_blocks(self, kind, rules):
+        # one block of 12, twelve blocks of one, and blocks of 5 and 7,
+        # to the bit; the delocalized mean is redrawn in each replication
+        config = config_of(covariance=SPECS[kind], classifiers=rules,
+                           reps=12, scenario=ScenarioSpec(
+                               "localized" if kind == "diagonal"
+                               else "delocalized", 3))
+        whole = harness.reduced_statistics(config, range(12))
+        assert whole.shape == (12, 40, len(rules))
+        for blocks in ([[r] for r in range(12)], [range(5), range(5, 12)]):
+            parts = np.concatenate([harness.reduced_statistics(config, b)
+                                    for b in blocks])
+            np.testing.assert_array_equal(parts.view(np.int64),
+                                          whole.view(np.int64))
+
+    def test_chunks_run_in_blocks(self, monkeypatch):
+        blocks = []
+        real = harness.reduced_statistics
+        monkeypatch.setattr(harness, "reduced_statistics",
+                            lambda config, block: blocks.append(block)
+                            or real(config, block))
+        config = config_of(classifiers=("t",), reps=150)
+        counts = harness.run_replication(config, range(3, 150))
+        assert blocks == [range(3, 67), range(67, 131), range(131, 150)]
+        assert counts == harness.reduced_replication(config, range(3, 150))
+        assert len(counts) == 147
 
 
 class TestRowGoldenCounts:
@@ -274,10 +327,10 @@ class TestRowGoldenCounts:
         overrides, expected = self.CASES[case]
         config = config_of(reps=len(expected), **overrides)
         assert config.sampler == "rows"
-        assert [harness.row_replication(config, r)
+        assert [harness.row_replication(config, [r])[0]
                 for r in range(config.reps)] == expected
-        assert [harness.run_replication(config, r)
-                for r in range(config.reps)] == expected
+        assert harness.run_replication(config, range(config.reps)) \
+            == expected
 
 
 class TestLinearForms:
@@ -342,7 +395,9 @@ class TestLinearForms:
         config = config_of(covariance=SPECS[kind], reps=1)
         rng = np.random.default_rng(23)
         mu = (np.zeros(8), config.fixed_mu2)
-        stats = harness._reduced_training(config, mu, rng)
+        stats = classify.TrainedStats(rng.standard_normal(8),
+                                      mu[1] + rng.standard_normal(8), 15, 15)
+        harness.bartlett_scatter(config, stats, rng)
         stats.truth = (*mu, config.sigma_inv)
         Z = rng.standard_normal((30, 8)) + 0.4
         rows = harness.fitted_rule_statistics(RULES, stats, Z)
@@ -371,8 +426,8 @@ class TestTestStatistics:
               if columns == "k > p" else [w, np.zeros(2), w])
         forms = {i: (float(i), wi) for i, wi in enumerate(ws)}
         mu = np.array([0.2, -0.1])
-        draws = harness.draw_test_statistics(
-            forms, gamma, [mu], [100000], np.random.default_rng(9))
+        (draws,) = harness.draw_test_statistics(
+            forms, gamma, [mu], [100000], [np.random.default_rng(9)])
         W = np.column_stack(ws)
         assert draws.shape == (100000, 3)
         se = np.sqrt(np.diag(W.T @ sigma @ W) / len(draws))
@@ -385,12 +440,12 @@ class TestTestStatistics:
         config = config_of(mu2_override=np.zeros(8), classifiers=("oracle",),
                            reps=3)
         for path in (harness.row_replication, harness.reduced_replication):
-            assert path(config, 0) == {"oracle": (0, config.test2)}
+            assert path(config, [0]) == [{"oracle": (0, config.test2)}]
 
     def test_more_rules_than_dimensions(self):
         config = config_of(p=2, covariance=CovarianceSpec.ar1(2, 0.5),
                            scenario=ScenarioSpec("localized", 1), reps=3)
-        counts = harness.reduced_replication(config, 1)
+        (counts,) = harness.reduced_replication(config, [1])
         assert set(counts) == set(RULES)
         for mis1, mis2 in counts.values():
             assert 0 <= mis1 <= 20 and 0 <= mis2 <= 20
@@ -457,7 +512,7 @@ class TestConditioningGuard:
         config = config_of(classifiers=("d",), reps=2)
         for path in (harness.row_replication, harness.reduced_replication):
             with pytest.raises(ConditioningError, match="replication 1"):
-                path(config, 1)
+                path(config, [1])
         ini = tmp_path / "run.ini"
         ini.write_text("[experiment]\np = 8\nn1 = 15\nn2 = 15\nreps = 2\n"
                        "seed = 1\n\n[scenario]\nn0 = 3\n\n"
@@ -495,9 +550,9 @@ class TestConditioningGuard:
         for r in range(config.reps):
             with pytest.raises(ConditioningError,
                                match="Sigma ill-conditioned"):
-                harness.row_replication(config, r)
-            assert harness.reduced_replication(config, r) == \
-                harness.reduced_replication(whitened, r)
+                harness.row_replication(config, [r])
+        assert harness.reduced_replication(config, range(config.reps)) == \
+            harness.reduced_replication(whitened, range(config.reps))
         # so simulate runs such a config when n1 = n2, and exits 2 when not
         for n2, code in ((15, 0), (16, 2)):
             ini = tmp_path / f"run{n2}.ini"

@@ -7,6 +7,7 @@ traced run in which a layer stops being called through the binding the
 tracer patches.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -72,9 +73,15 @@ def test_traced_reduced_run_records_its_layers():
                         "theory.overlay"}
 
 
-# The reduced sampler's stages, which bench/tracing.LAYERS does not list yet
+# The reduced sampler's stages, which bench/tracing.LAYERS does not list
+# yet: a block of replications and, inside it, each replication's Schur
+# factor, the block's Schur draw and its guarded solve, its linear forms
+# and its test draw
 REDUCED_STAGES = (
+    ("harness.reduced_statistics", "dtclassify.harness",
+     "reduced_statistics"),
     ("model.bartlett_factor", "dtclassify.model", "bartlett_factor"),
+    ("harness.whitened_solve", "dtclassify.harness", "whitened_solve"),
     ("classify.drawn_root_solve", "dtclassify.classify", "drawn_root_solve"),
     ("classify.linear_forms", "dtclassify.classify", "linear_forms"),
     ("harness.draw_test_statistics", "dtclassify.harness",
@@ -83,10 +90,14 @@ REDUCED_STAGES = (
 
 
 def test_reduced_stages_can_be_traced_inside_each_replication():
-    # a tracer given these layers splits the reduced replication into
-    # its stages, each called once per replication (both test groups'
-    # statistics come from one draw), and changes no result
-    config = traced_config(p=6, n1=10, n2=10)
+    # a tracer given these layers splits the replications' span into the
+    # reduced sampler's stages: per block of replications one Schur draw,
+    # one guarded solve, one set of linear forms and one test draw (both
+    # test groups' statistics come from it), per replication one Schur
+    # factor; and changes no result
+    config = dataclasses.replace(traced_config(p=6, n1=10, n2=10),
+                                 classifiers=("d", "t", "oracle"),
+                                 reps=harness.BLOCK + 2)
     plain = harness.run_experiment(config)
     with tracing.Tracer(tracing.LAYERS + REDUCED_STAGES) as tracer:
         traced = harness.run_experiment(config)
@@ -94,11 +105,20 @@ def test_reduced_stages_can_be_traced_inside_each_replication():
         assert (result.per_rep_errors
                 == traced.classifiers[rule].per_rep_errors).all()
     spans = tracer.spans
-    for name, _, _ in REDUCED_STAGES:
-        calls = tracer.counts[name + ".calls"]
-        assert calls == config.reps
-        parents = {spans[s[3]][0] for s in spans if s[0] == name}
-        assert parents == {"harness.replication"}
+    blocks = 2
+    inside = {"harness.reduced_statistics": ("harness.replication", blocks),
+              "model.bartlett_factor": ("harness.whitened_solve",
+                                        config.reps),
+              "harness.whitened_solve": ("harness.reduced_statistics",
+                                         blocks),
+              "classify.drawn_root_solve": ("harness.whitened_solve", blocks),
+              "classify.linear_forms": ("harness.reduced_statistics", blocks),
+              "harness.draw_test_statistics": ("harness.reduced_statistics",
+                                               blocks)}
+    assert set(inside) == {name for name, _, _ in REDUCED_STAGES}
+    for name, (parent, calls) in inside.items():
+        assert tracer.counts[name + ".calls"] == calls, name
+        assert {spans[s[3]][0] for s in spans if s[0] == name} == {parent}
 
 
 def test_traced_reproduce_records_one_experiment_per_grid_point():
