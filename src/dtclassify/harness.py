@@ -390,6 +390,15 @@ def _row_test(config: ExperimentConfig, mu, stats, rng) -> np.ndarray:
         config.classifiers, stats, Z).values()))
 
 
+def _normals(rngs, shape) -> np.ndarray:
+    """Standard normals of ``shape`` from each generator, as it would
+    draw them alone, filled into one (B, *shape) array."""
+    out = np.empty((len(rngs), *shape))
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    return out
+
+
 def _each(times, V) -> np.ndarray:
     """``times`` (a product with a matrix) of each row of V (..., p) on its
     own: a matrix-vector product per row, not one product over the rows."""
@@ -408,7 +417,7 @@ def _reduced_training(config: ExperimentConfig, mu, rngs
     u = A^-1 (xbar - ybar), which ``whitened_solve`` draws from an at most
     4 x 4 Wishart."""
     gamma, p, rules = config.gamma, config.p, config.classifiers
-    z = np.array([rng.standard_normal((2, p)) for rng in rngs])
+    z = _normals(rngs, (2, p))
     mixed = _each(gamma.mix, z)
     stats = classify.TrainedStats(
         mu[0] + mixed[:, 0] / math.sqrt(config.n1),
@@ -439,12 +448,11 @@ def _reduced_training(config: ExperimentConfig, mu, rngs
         # through Gamma u in the QR of the rules' Gamma w: its norm and
         # its products with Gamma (xbar - ybar) for T and with the
         # oracle's Gamma Sigma^-1 (mu1 - mu2) = -Gamma^-1 mu2
-        reads = [(white_x + white_y) / 2.0, white_mu2]
+        columns = [white_x - white_y, (white_x + white_y) / 2.0, white_mu2]
         if "t" in rules:
-            reads.append(_each(gamma.mix, stats.mean_x - stats.mean_y))
+            columns.append(_each(gamma.mix, stats.mean_x - stats.mean_y))
         stats.direction = _each(gamma.unmix, whitened_solve(
-            white_x - white_y, np.stack(np.broadcast_arrays(*reads), -1),
-            dof, rngs))
+            np.stack(np.broadcast_arrays(*columns), axis=-1), dof, rngs))
     return stats
 
 
@@ -462,24 +470,24 @@ def bartlett_scatter(config: ExperimentConfig, stats, rng) -> None:
             T, gamma.unmix(stats.mean_x - stats.mean_y)))
 
 
-def whitened_solve(e, reads, dof: int, rngs) -> np.ndarray:
-    """v = W^-1 e for a fresh W ~ W_p(I, dof) per row of e (B, p), one
-    generator of ``rngs`` each, exactly in law, without drawing W.
+def whitened_solve(columns, dof: int, rngs) -> np.ndarray:
+    """v = W^-1 e for a fresh W ~ W_p(I, dof), exactly in law, without
+    drawing W, for each p x c matrix of the stack ``columns``: e, then at
+    most 3 vectors that the caller reads v through. One generator of
+    ``rngs`` per matrix; returns B x p.
 
-    Q, an orthonormal basis of the span of e and the columns of its
-    ``reads`` (p x c, at most 3 columns, or a stack of one per row), comes
-    from their QR, e = Q r; it has k = min(p, 1 + c) columns. Rotated to
-    that basis, the Wishart partition theorem (Anderson, *An Introduction
-    to Multivariate Statistical Analysis*, sec. 7.3) gives Q'v = S^-1 r
-    with S ~ W_k(I, dof - p + k) the Schur complement of the other p - k
+    Q, an orthonormal basis of the span of the columns, comes from their
+    QR, e = Q r; it has k = min(p, c) columns. Rotated to that basis, the
+    Wishart partition theorem (Anderson, *An Introduction to Multivariate
+    Statistical Analysis*, sec. 7.3) gives Q'v = S^-1 r with
+    S ~ W_k(I, dof - p + k) the Schur complement of the other p - k
     coordinates, and, independent of S, the rest of v as
     ||S^-1 r|| g / sqrt(chi^2(dof - p + k + 1)) with g ~ N(0, I - Q Q').
-    So W's p x p factor is never drawn. The caller reads v through reads'
-    v and ||v||: the products come from the solve with S alone, which is
-    the matrix the condition guard checks.
+    So W's p x p factor is never drawn. The caller reads v through those
+    vectors' products with it and ||v||: they come from the solve with S
+    alone, which is the matrix the condition guard checks.
     """
-    reads = np.broadcast_to(reads, e.shape + np.shape(reads)[-1:])
-    Q, R = np.linalg.qr(np.concatenate([e[..., None], reads], axis=-1))
+    Q, R = np.linalg.qr(columns)
     p, k = Q.shape[-2:]
     factors = np.array([bartlett_factor(k, dof - p + k, rng)
                         for rng in rngs])
@@ -487,11 +495,9 @@ def whitened_solve(e, reads, dof: int, rngs) -> np.ndarray:
         factors, R[..., 0], "Schur complement of the whitened pooled scatter")
     v = (Q @ a[..., None])[..., 0]
     if k < p:
-        tails = [(rng.standard_normal(p), rng.chisquare(dof - p + k + 1))
-                 for rng in rngs]
-        g = np.array([g for g, _ in tails])
+        g = _normals(rngs, (p,))
+        chi2 = np.array([rng.chisquare(dof - p + k + 1) for rng in rngs])
         g -= (Q @ (np.swapaxes(Q, -1, -2) @ g[..., None]))[..., 0]
-        chi2 = np.array([chi2 for _, chi2 in tails])
         v += np.sqrt(classify.row_dot(a, a) / chi2)[:, None] * g
     return v
 
@@ -517,8 +523,7 @@ def draw_test_statistics(forms, gamma: MixingMatrix, mu, m, rngs
     W = np.stack(np.broadcast_arrays(*(form[1] for form in forms.values())),
                  axis=-1)
     R = np.linalg.qr(gamma.mix(W), mode="r")
-    rows = (sum(m), R.shape[-2])
-    out = np.array([rng.standard_normal(rows) for rng in rngs]) @ R
+    out = _normals(rngs, (sum(m), R.shape[-2])) @ R
     start = 0
     for mean, count in zip(mu, m):
         out[:, start:start + count] += (c[..., None, :]

@@ -134,8 +134,8 @@ class TestWhitenedSolve:
         e = rng.standard_normal(p)
         columns = rng.standard_normal((p, reads))
         # one block of n solves, each drawing from the same generator
-        draws = harness.whitened_solve(np.tile(e, (n, 1)), columns, dof,
-                                       [rng] * n)
+        draws = harness.whitened_solve(
+            np.tile(np.column_stack([e, columns]), (n, 1, 1)), dof, [rng] * n)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - e / (dof - p - 1))
                       < 4.5 * se)
