@@ -339,13 +339,13 @@ def reduced_statistics(config: ExperimentConfig, block) -> np.ndarray:
     """The rule statistics of a block of replications without rows,
     block x (m1 + m2) x k.
 
-    Each replication draws from its own stream what it drew alone, in the
-    same order: mu2 when redrawn, the training draw (``_reduced_training``)
-    and the test statistics' normals (``draw_test_statistics``). The
-    arithmetic runs once for the block on stacked arrays, with one matrix
-    product, QR or solve per replication at that replication's own shape
-    and sums along its own axis, so no replication's statistics depend on
-    the block it ran in.
+    Each replication draws from its own stream what it would draw alone,
+    in the same order: mu2 when redrawn, the training draw
+    (``_reduced_training``) and the test statistics' normals
+    (``draw_test_statistics``). The arithmetic runs once for the block on
+    stacked arrays, with one matrix product, QR or solve per replication
+    at that replication's own shape and sums along its own axis, so no
+    replication's statistics depend on the block it ran in.
     """
     rngs = [replication_rng(config.master_seed, r) for r in block]
     mu2 = config.fixed_mu2
