@@ -4,10 +4,12 @@ numpy (>= 2.0, as built for PyPI) links scipy-openblas, an OpenBLAS with
 64-bit integers whose exported names carry a ``scipy_`` prefix and a
 ``64_`` suffix. The rules need three LAPACK routines from it -- the
 Cholesky factorization (dpotrf), triangular solves (dtrtrs) and the 1-norm
-condition estimate (dpocon) -- and the harness needs the library's thread
-count. All are bound here through ``ctypes``, once per process, from the
-library that numpy's core extension has loaded, so there is one OpenBLAS
-in the process and this is its one handle.
+condition estimate (dpocon) -- the harness needs the library's thread
+count, and the QR factorization (dgeqrf) and its Q (dorgqr) give the
+one-matrix QR that the reduced sampler's stacked ``numpy.linalg.qr``
+equals matrix by matrix. All are bound here through ``ctypes``, once per
+process, from the library that numpy's core extension has loaded, so
+there is one OpenBLAS in the process and this is its one handle.
 
 Every routine takes the lower triangular factor L of A = L L' in either
 memory order: an F-ordered L is passed as the lower triangle, a C-ordered
@@ -58,6 +60,10 @@ _dtrtrs = _bind("dtrtrs_", [_CHAR, _CHAR, _CHAR, _INT_P, _INT_P, _ARRAY,
                             _LENGTH, _LENGTH, _LENGTH], None)
 _dpocon = _bind("dpocon_", [_CHAR, _INT_P, _ARRAY, _INT_P, _DOUBLE_P,
                             _DOUBLE_P, _ARRAY, _ARRAY, _INT_P, _LENGTH], None)
+_dgeqrf = _bind("dgeqrf_", [_INT_P, _INT_P, _ARRAY, _INT_P, _ARRAY, _ARRAY,
+                            _INT_P, _INT_P], None)
+_dorgqr = _bind("dorgqr_", [_INT_P, _INT_P, _INT_P, _ARRAY, _INT_P, _ARRAY,
+                            _ARRAY, _INT_P, _INT_P], None)
 _get_threads = _bind("openblas_get_num_threads", [], ctypes.c_int)
 _set_threads = _bind("openblas_set_num_threads", [ctypes.c_int], None)
 
@@ -190,6 +196,48 @@ def reciprocal_condition(L: np.ndarray, anorm):
         _check(info, "dpocon")
         out[i] = rcond.value
     return out.reshape(L.shape[:-2]) if L.ndim > 2 else float(out[0])
+
+
+
+# doubles of workspace per column: at least the optimal workspace of dgeqrf
+# and dorgqr, n times the block size 32 that LAPACK's ilaenv gives both
+_WORK_PER_COLUMN = 64
+
+
+def qr(a, mode: str = "reduced"):
+    """``numpy.linalg.qr(a, mode)`` of a real matrix, for mode "reduced"
+    or "r".
+
+    dgeqrf, and dorgqr for Q, on an F-ordered copy of ``a``: the routines
+    that numpy.linalg calls, in the same library, so Q and R are numpy's to
+    the bit and in its C order, without the error-state, ``triu`` and type
+    dispatch around them. Q is m x min(m, n), R is min(m, n) x n; "reduced"
+    returns (Q, R) and "r" returns R.
+    """
+    if mode not in ("reduced", "r"):
+        raise ValueError(f"unknown mode {mode!r}")
+    h = np.array(a, dtype=np.float64, order="F")
+    if h.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {h.shape}")
+    m, n = h.shape
+    k = min(m, n)
+    # tau in the first k entries, the workspace after them
+    buffer = np.empty(k + _WORK_PER_COLUMN * max(n, 1))
+    tau = _address(buffer)
+    work = tau + k * buffer.itemsize
+    rows, lead, lwork, info = _INT(m), _INT(max(m, 1)), \
+        _INT(buffer.size - k), _INT()
+    _dgeqrf(rows, _INT(n), _address(h), lead, tau, work, lwork, info)
+    _check(info, "dgeqrf")
+    R = h[:k].copy()
+    R[strictly_lower(k, n)] = 0.0
+    if mode == "r":
+        return R
+    Q = h[:, :k]  # the first k columns of h, still F-contiguous
+    _dorgqr(rows, _INT(k), _INT(k), _address(Q), lead, tau, work, lwork,
+            info)
+    _check(info, "dorgqr")
+    return np.ascontiguousarray(Q), R
 
 
 @lru_cache(maxsize=32)

@@ -99,6 +99,54 @@ class TestBindings:
             lapack.solve_triangular(L.astype(np.float32), np.ones(4))
 
 
+class TestQR:
+    """QR from dgeqrf and dorgqr, against numpy.linalg.qr to the bit."""
+
+    @pytest.mark.parametrize("p", [1, 4, 50, 500])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bitwise_equal_to_numpy(self, p, k):
+        # k > p at p = 1 and p = 4 < k: Q is p x p and R is p x k
+        a = np.random.default_rng(10 * p + k).standard_normal((p, k))
+        Q, R = lapack.qr(a)
+        reference_q, reference_r = np.linalg.qr(a)
+        for ours, theirs in ((Q, reference_q), (R, reference_r),
+                             (lapack.qr(a, mode="r"),
+                              np.linalg.qr(a, mode="r"))):
+            assert ours.shape == theirs.shape
+            assert ours.flags.c_contiguous == theirs.flags.c_contiguous
+            np.testing.assert_array_equal(ours.view(np.int64),
+                                          theirs.view(np.int64))
+        assert Q.shape == (p, min(p, k)) and R.shape == (min(p, k), k)
+
+    @pytest.mark.parametrize("count, p, k", [(5, 3, 4), (64, 50, 2),
+                                             (7, 500, 3)])
+    def test_stacked_numpy_qr_is_each_matrix_own(self, count, p, k):
+        # the reduced sampler's blocks take one stacked numpy.linalg.qr;
+        # each matrix's Q and R are the bits of its QR alone
+        a = np.random.default_rng(count + p + k).standard_normal((count, p, k))
+        Q, R = np.linalg.qr(a)
+        stacked_r = np.linalg.qr(a, mode="r")
+        for i in range(count):
+            q_i, r_i = lapack.qr(a[i])
+            np.testing.assert_array_equal(Q[i].view(np.int64),
+                                          q_i.view(np.int64))
+            np.testing.assert_array_equal(R[i].view(np.int64),
+                                          r_i.view(np.int64))
+            np.testing.assert_array_equal(stacked_r[i].view(np.int64),
+                                          r_i.view(np.int64))
+
+    def test_leaves_its_argument_alone(self):
+        a = np.arange(12.0).reshape(4, 3)
+        lapack.qr(a)
+        assert np.array_equal(a, np.arange(12.0).reshape(4, 3))
+
+    def test_rejects_other_modes_and_shapes(self):
+        with pytest.raises(ValueError, match="mode"):
+            lapack.qr(np.eye(3), mode="complete")
+        with pytest.raises(ValueError, match="matrix"):
+            lapack.qr(np.ones(3))
+
+
 @pytest.mark.parametrize("layout", ["F", "C"])
 def test_cholesky_solve_is_two_triangular_solves(layout):
     L = lapack.cholesky(spd(5, 2))
