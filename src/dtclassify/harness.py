@@ -11,14 +11,15 @@ xbar, ybar and what the D-rule and naive Bayes read of the pooled scatter
 direction A^-1 (xbar - ybar), drawn through a Schur complement); testing
 scores rows by the rule table (``fitted_rule_statistics``) or, for normal
 innovations and n1 = n2, draws the statistics from linear forms.
-``row_replication`` (the reference path) pairs the row halves, one
-replication at a time; ``reduced_replication`` pairs the others and runs
-replications in blocks of ``BLOCK`` (``reduced_statistics``): each
-replication draws from its own stream what it would draw alone, then the
-block's arithmetic runs once on stacked arrays, one product per
-replication, so no result depends on its block. ``run_replication`` runs
-a chunk of replications by the config's sampler
-(``ExperimentConfig.sampler``).
+One body, ``block_statistics``, runs a block of replications with a
+sampler's two halves: each replication draws from its own stream what it
+would draw alone, mu2 first, then the training half fills the record and
+the test half returns the statistics. ``row_replication`` (the reference
+path) gives it the row halves, one replication at a time;
+``reduced_replication`` gives it the others in blocks of ``BLOCK``, whose
+arithmetic runs once on stacked arrays, one product per replication, so
+no result depends on its block. ``run_replication`` runs a chunk of
+replications by the config's sampler (``ExperimentConfig.sampler``).
 
 What depends on the config alone -- Gamma, Sigma^-1, a fixed mean
 difference or mu2, the localized Delta_L^2 and the delocalized scale e --
@@ -275,17 +276,15 @@ def run_replication(config: ExperimentConfig, indices
 def row_replication(config: ExperimentConfig, indices
                     ) -> list[dict[str, tuple[int, int]]]:
     """Replications from sampled rows, one at a time; any config."""
-    return [counts for r in indices
-            for counts in _miscounts(config, _row_statistics, [r])]
+    return _miscounts(config, indices, 1, _row_training, _row_test)
 
 
 def reduced_replication(config: ExperimentConfig, indices
                         ) -> list[dict[str, tuple[int, int]]]:
     """Replications without rows, in blocks of ``BLOCK``; normal
     innovations and n1 = n2 only."""
-    return [counts for start in range(0, len(indices), BLOCK)
-            for counts in _miscounts(config, reduced_statistics,
-                                     indices[start:start + BLOCK])]
+    return _miscounts(config, indices, BLOCK, _reduced_training,
+                      _projected_test)
 
 
 def replication_rng(seed: int, r: int) -> np.random.Generator:
@@ -297,69 +296,56 @@ def replication_rng(seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng([seed, r])
 
 
-def _miscounts(config: ExperimentConfig, statistics, block
+def _miscounts(config: ExperimentConfig, indices, size: int, *halves
                ) -> list[dict[str, tuple[int, int]]]:
-    """The miscounts of the replications in ``block``, whose rules'
-    statistics ``statistics(config, block)`` gives as block x (m1 + m2) x
-    k. A numerical error names the first replication that fails on its
-    own, which it finds by running the block's replications one by one."""
-    try:
-        scores = statistics(config, block)
-    except NumericalError as exc:
-        if len(block) == 1:
-            raise type(exc)(f"replication {block[0]}: {exc}") from exc
-        for r in block:
-            _miscounts(config, statistics, [r])
-        raise  # not reached: no replication depends on its block
-    m1 = config.test1
-    mis1 = (scores[:, :m1] > 0).sum(axis=1).tolist()
-    mis2 = (scores[:, m1:] <= 0).sum(axis=1).tolist()
-    return [dict(zip(config.classifiers, zip(a, b)))
-            for a, b in zip(mis1, mis2)]
+    """The miscounts of replications ``indices``, whose statistics
+    ``block_statistics`` gives with a sampler's two ``halves`` in blocks of
+    ``size``. A numerical error names the first replication that fails on
+    its own, which it finds by running the block's replications one by
+    one."""
+    counts, m1 = [], config.test1
+    for start in range(0, len(indices), size):
+        block = indices[start:start + size]
+        try:
+            scores = block_statistics(config, block, *halves)
+        except NumericalError as exc:
+            if len(block) == 1:
+                raise type(exc)(f"replication {block[0]}: {exc}") from exc
+            _miscounts(config, block, 1, *halves)
+            raise  # not reached: no replication depends on its block
+        mis1 = (scores[:, :m1] > 0).sum(axis=1).tolist()
+        mis2 = (scores[:, m1:] <= 0).sum(axis=1).tolist()
+        counts += [dict(zip(config.classifiers, zip(a, b)))
+                   for a, b in zip(mis1, mis2)]
+    return counts
 
 
-def _row_statistics(config: ExperimentConfig, block) -> np.ndarray:
-    """One replication's rule statistics from sampled rows, 1 x (m1 + m2)
-    x k: mu2 when redrawn, n1 + n2 training rows or means, then m1 + m2
-    test rows."""
-    (r,) = block
-    rng = replication_rng(config.master_seed, r)
-    mu2 = config.fixed_mu2
-    if mu2 is None:
-        mu2 = make_scenario_means(config.scenario, config.p, rng,
-                                  config.mean_scale)
-    mu = (np.zeros(config.p), mu2)
-    stats = _row_training(config, mu, rng)
-    if "oracle" in config.classifiers:
-        stats.truth = (*mu, config.sigma_inv)
-    return _row_test(config, mu, stats, rng)[None]
-
-
-def reduced_statistics(config: ExperimentConfig, block) -> np.ndarray:
-    """The rule statistics of a block of replications without rows,
-    block x (m1 + m2) x k.
+def block_statistics(config: ExperimentConfig, block, training, test
+                     ) -> np.ndarray:
+    """The rule statistics of a block of replications, block x (m1 + m2)
+    x k, from a sampler's two halves.
 
     Each replication draws from its own stream what it would draw alone,
-    in the same order: mu2 when redrawn, the training draw
-    (``_reduced_training``) and the test statistics' normals
-    (``draw_test_statistics``). The arithmetic runs once for the block on
-    stacked arrays, with one matrix product, QR or solve per replication
-    at that replication's own shape and sums along its own axis, so no
-    replication's statistics depend on the block it ran in.
+    in the same order: mu2 when redrawn (a p-vector in a block of one,
+    else one row per replication), then ``training(config, mu, rngs)``,
+    which returns the rules' record, and ``test(config, mu, stats,
+    rngs)``, which returns the statistics. The reduced halves compute
+    once for the block on stacked arrays, with one matrix product, QR or
+    solve per replication at that replication's own shape and sums along
+    its own axis, so no replication's statistics depend on the block it
+    ran in.
     """
     rngs = [replication_rng(config.master_seed, r) for r in block]
     mu2 = config.fixed_mu2
     if mu2 is None:
-        mu2 = np.array([make_scenario_means(config.scenario, config.p, rng,
-                                            config.mean_scale)
-                        for rng in rngs])
+        draws = [make_scenario_means(config.scenario, config.p, rng,
+                                     config.mean_scale) for rng in rngs]
+        mu2 = draws[0] if len(draws) == 1 else np.array(draws)
     mu = (np.zeros(config.p), mu2)
-    stats = _reduced_training(config, mu, rngs)
+    stats = training(config, mu, rngs)
     if "oracle" in config.classifiers:
         stats.truth = (*mu, config.sigma_inv)
-    forms = classify.linear_forms(config.classifiers, stats)
-    return draw_test_statistics(forms, config.gamma, mu,
-                                [config.test1, config.test2], rngs)
+    return test(config, mu, stats, rngs)
 
 
 def _populations(config: ExperimentConfig, mu) -> tuple:
@@ -367,10 +353,12 @@ def _populations(config: ExperimentConfig, mu) -> tuple:
                  in zip(mu, (config.innovation1, config.innovation2)))
 
 
-def _row_training(config: ExperimentConfig, mu, rng) -> classify.TrainedStats:
-    """n1 + n2 fitted rows for the D-rule or naive Bayes; the T-rule and
-    the oracle read only xbar and ybar, which are then drawn directly
-    (``PopulationModel.sample_mean``), exactly in law."""
+def _row_training(config: ExperimentConfig, mu, rngs
+                  ) -> classify.TrainedStats:
+    """One replication's n1 + n2 fitted rows for the D-rule or naive
+    Bayes; the T-rule and the oracle read only xbar and ybar, which are
+    then drawn directly (``PopulationModel.sample_mean``), exactly in law."""
+    (rng,) = rngs
     pop1, pop2 = _populations(config, mu)
     rules = config.classifiers
     if "d" in rules or "nb" in rules:
@@ -381,13 +369,15 @@ def _row_training(config: ExperimentConfig, mu, rng) -> classify.TrainedStats:
                                  config.n1, config.n2)
 
 
-def _row_test(config: ExperimentConfig, mu, stats, rng) -> np.ndarray:
-    """m1 + m2 test rows, scored by ``fitted_rule_statistics``."""
+def _row_test(config: ExperimentConfig, mu, stats, rngs) -> np.ndarray:
+    """One replication's m1 + m2 test rows, scored by
+    ``fitted_rule_statistics``, 1 x (m1 + m2) x k."""
+    (rng,) = rngs
     pop1, pop2 = _populations(config, mu)
     Z = np.vstack([pop1.sample(config.test1, rng),
                    pop2.sample(config.test2, rng)])
     return np.column_stack(list(fitted_rule_statistics(
-        config.classifiers, stats, Z).values()))
+        config.classifiers, stats, Z).values()))[None]
 
 
 def _normals(rngs, shape) -> np.ndarray:
@@ -500,6 +490,15 @@ def whitened_solve(columns, dof: int, rngs) -> np.ndarray:
         g -= (Q @ (np.swapaxes(Q, -1, -2) @ g[..., None]))[..., 0]
         v += np.sqrt(classify.row_dot(a, a) / chi2)[:, None] * g
     return v
+
+
+def _projected_test(config: ExperimentConfig, mu, stats, rngs
+                    ) -> np.ndarray:
+    """A block's test statistics drawn from the rules' linear forms
+    (``classify.linear_forms``, ``draw_test_statistics``)."""
+    forms = classify.linear_forms(config.classifiers, stats)
+    return draw_test_statistics(forms, config.gamma, mu,
+                                [config.test1, config.test2], rngs)
 
 
 def draw_test_statistics(forms, gamma: MixingMatrix, mu, m, rngs
@@ -681,8 +680,7 @@ def trace_inputs(config: ExperimentConfig) -> TheoryInputsT:
         sigma, config.n1, config.n2, trace_sigma_squared(sigma),
         float(e2 * (trace / 12.0 + total)),
         e * config.gamma.cube_sum(), float(config.p * e2 * 13.0 / 12.0),
-        theta_x=innov1.theta, theta_y=innov2.theta,
-        gamma_x=innov1.gamma4, gamma_y=innov2.gamma4)
+        innov1, innov2)
 
 
 def theory_predictions(config: ExperimentConfig) -> dict[str, float | None]:

@@ -187,7 +187,8 @@ class TheoryInputsT:
 
     The mean difference delta enters only through delta' Sigma delta,
     1' Gamma^3 delta and ||delta||^2 (their expectations when delta is
-    drawn at random); ``from_delta`` computes them for a fixed delta.
+    drawn at random); ``from_delta`` computes them for a fixed delta. The
+    groups' innovation laws enter through their third and fourth moments.
     """
 
     sigma: CovarianceSpec
@@ -197,10 +198,8 @@ class TheoryInputsT:
     delta_sigma_delta: float
     ones_gamma3_delta: float
     norm2: float
-    theta_x: float = 0.0
-    theta_y: float = 0.0
-    gamma_x: float = 3.0
-    gamma_y: float = 3.0
+    innov1: InnovationSpec = InnovationSpec("normal")
+    innov2: InnovationSpec = InnovationSpec("normal")
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
@@ -230,9 +229,7 @@ class TheoryInputsT:
             g3 = (gamma or MixingMatrix.from_spec(sigma)).cube()
             g3d = float(np.sum(g3 @ delta))
         return cls(sigma, n1, n2, trace_sigma_squared(sigma), dsd, g3d,
-                   float(delta @ delta),
-                   theta_x=innov1.theta, theta_y=innov2.theta,
-                   gamma_x=innov1.gamma4, gamma_y=innov2.gamma4)
+                   float(delta @ delta), innov1, innov2)
 
 
 def t_variance(inputs: TheoryInputsT, variant: str) -> float:
@@ -245,6 +242,7 @@ def t_variance(inputs: TheoryInputsT, variant: str) -> float:
         )
     n1, n2, tr_sigma2 = inputs.n1, inputs.n2, inputs.tr_sigma2
     dsd, g3d = inputs.delta_sigma_delta, inputs.ones_gamma3_delta
+    x, y = inputs.innov1, inputs.innov2
     if variant == "v3":
         return 4.0 * dsd
     if variant == "v2":
@@ -252,16 +250,15 @@ def t_variance(inputs: TheoryInputsT, variant: str) -> float:
                 + 4.0 * (1.0 - 1.0 / n2) * dsd)
     if variant == "v1":
         return (4.0 * (1.0 / n1 + 1.0 / n2) * tr_sigma2
-                + 4.0 * inputs.theta_x * (1.0 / n2 - 1.0 / n1) * g3d
+                + 4.0 * x.theta * (1.0 / n2 - 1.0 / n1) * g3d
                 + 4.0 * (1.0 - 1.0 / n2) * dsd)
     a1, a2 = alpha(n1), alpha(n2)
     beta0 = (a1**2 * (6.0 * n1**2 + 3.0 * n1 - 3.0) / n1**3
              + a2**2 * (6.0 * n2**2 + 3.0 * n2 - 3.0) / n2**3
              + 2.0 * (a1 * a2 - 1.0))
-    beta1 = (inputs.gamma_x * (a1**2 / n1**3 + (a1 - a2) ** 2)
-             + a2**2 * inputs.gamma_y / n2**3)
-    beta2 = (4.0 * a2 * (a1 - a2) * inputs.theta_x
-             + 4.0 * inputs.theta_y / n2**2)
+    beta1 = (x.gamma4 * (a1**2 / n1**3 + (a1 - a2) ** 2)
+             + a2**2 * y.gamma4 / n2**3)
+    beta2 = 4.0 * a2 * (a1 - a2) * x.theta + 4.0 * y.theta / n2**2
     return (beta0 + beta1) * tr_sigma2 + beta2 * g3d + 4.0 * a2 * dsd
 
 

@@ -266,25 +266,51 @@ class TestBlocks:
                            reps=12, scenario=ScenarioSpec(
                                "localized" if kind == "diagonal"
                                else "delocalized", 3))
-        whole = harness.reduced_statistics(config, range(12))
+        halves = (harness._reduced_training, harness._projected_test)
+        whole = harness.block_statistics(config, range(12), *halves)
         assert whole.shape == (12, 40, len(rules))
         for blocks in ([[r] for r in range(12)], [range(5), range(5, 12)]):
-            parts = np.concatenate([harness.reduced_statistics(config, b)
+            parts = np.concatenate([harness.block_statistics(config, b,
+                                                             *halves)
                                     for b in blocks])
             np.testing.assert_array_equal(parts.view(np.int64),
                                           whole.view(np.int64))
 
     def test_chunks_run_in_blocks(self, monkeypatch):
         blocks = []
-        real = harness.reduced_statistics
-        monkeypatch.setattr(harness, "reduced_statistics",
-                            lambda config, block: blocks.append(block)
-                            or real(config, block))
+        real = harness.block_statistics
+        monkeypatch.setattr(harness, "block_statistics",
+                            lambda config, block, *halves:
+                            blocks.append(block) or real(config, block,
+                                                         *halves))
         config = config_of(classifiers=("t",), reps=150)
         counts = harness.run_replication(config, range(3, 150))
         assert blocks == [range(3, 67), range(67, 131), range(131, 150)]
         assert counts == harness.reduced_replication(config, range(3, 150))
         assert len(counts) == 147
+
+    def test_samplers_share_each_replications_mu2(self, monkeypatch):
+        # the redrawn mu2 is each stream's first draw on both samplers, so
+        # the oracle of replication r reads the same mu2 on either, to the
+        # bit; the reduced sampler runs 70 replications as blocks of 64 + 6
+        config = config_of(covariance=SPECS["equal_corr"],
+                           scenario=ScenarioSpec("delocalized", 3),
+                           classifiers=("t", "oracle"), reps=70)
+        rows, reduced = [], []
+        oracle, forms = classify.oracle_statistics, classify.linear_forms
+        monkeypatch.setattr(classify, "oracle_statistics",
+                            lambda mu1, mu2, *rest: rows.append(mu2)
+                            or oracle(mu1, mu2, *rest))
+        monkeypatch.setattr(classify, "linear_forms",
+                            lambda rules, stats: reduced.extend(
+                                np.atleast_2d(stats.truth[1]))
+                            or forms(rules, stats))
+        harness.row_replication(config, range(config.reps))
+        harness.reduced_replication(config, range(config.reps))
+        assert len(rows) == len(reduced) == config.reps
+        for r, (a, b) in enumerate(zip(rows, reduced)):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64),
+                                          err_msg=f"replication {r}")
 
 
 class TestRowGoldenCounts:

@@ -83,6 +83,10 @@ class TestDeterminantRule:
             tau(TheoryInputsD(0.5, 0.5, 0.0))
 
 
+# an innovation law with skewness theta = 2 and fourth moment gamma4 = 9
+GAMMA = InnovationSpec("gamma_shifted")
+
+
 def terms(tr_sigma2, dsd, g3d, n1, n2, **innovations):
     """Inputs with the three structural terms given directly; the identity
     Sigma lets every variant, "full" too, be taken of them."""
@@ -101,18 +105,18 @@ class TestTraceRuleVariance:
             pytest.approx(79.6)
 
     def test_v1_reduces_to_v2_for_symmetric_innovations(self):
-        args = (500.0, 10.0, 7.0, 100, 200)
-        assert t_variance(terms(*args, theta_x=0.0), "v1") == \
+        args, normal = (500.0, 10.0, 7.0, 100, 200), InnovationSpec("normal")
+        assert t_variance(terms(*args, innov1=normal), "v1") == \
             pytest.approx(t_variance(terms(*args), "v2"))
         # and the skewness term drops for balanced designs regardless
         bal = (500.0, 10.0, 7.0, 150, 150)
-        assert t_variance(terms(*bal, theta_x=2.0), "v1") == \
+        assert t_variance(terms(*bal, innov1=GAMMA), "v1") == \
             pytest.approx(t_variance(terms(*bal), "v2"))
 
     def test_truncations_converge_to_v3(self):
         # V1, V2 -> V3 as both sample sizes grow
         v3 = t_variance(terms(500.0, 10.0, 3.0, 10**7, 10**7), "v3")
-        v1 = t_variance(terms(500.0, 10.0, 3.0, 10**7, 10**7, theta_x=2.0),
+        v1 = t_variance(terms(500.0, 10.0, 3.0, 10**7, 10**7, innov1=GAMMA),
                         "v1")
         assert v1 == pytest.approx(v3, rel=1e-3)
 
@@ -120,9 +124,8 @@ class TestTraceRuleVariance:
         # the exact-moment variance keeps O(1/n^2) corrections only
         for n in (100, 400):
             full = t_variance(terms(500.0, 10.0, 3.0, n, n,
-                                    theta_x=2.0, theta_y=2.0,
-                                    gamma_x=9.0, gamma_y=9.0), "full")
-            v1 = t_variance(terms(500.0, 10.0, 3.0, n, n, theta_x=2.0), "v1")
+                                    innov1=GAMMA, innov2=GAMMA), "full")
+            v1 = t_variance(terms(500.0, 10.0, 3.0, n, n, innov1=GAMMA), "v1")
             assert abs(full - v1) < 6000.0 / n**2
 
     def test_full_requires_diagonal_structure(self):

@@ -78,8 +78,7 @@ def test_traced_reduced_run_records_its_layers():
 # factor, the block's Schur draw and its guarded solve, its linear forms
 # and its test draw
 REDUCED_STAGES = (
-    ("harness.reduced_statistics", "dtclassify.harness",
-     "reduced_statistics"),
+    ("harness.block_statistics", "dtclassify.harness", "block_statistics"),
     ("model.bartlett_factor", "dtclassify.model", "bartlett_factor"),
     ("harness.whitened_solve", "dtclassify.harness", "whitened_solve"),
     ("classify.drawn_root_solve", "dtclassify.classify", "drawn_root_solve"),
@@ -106,14 +105,14 @@ def test_reduced_stages_can_be_traced_inside_each_replication():
                 == traced.classifiers[rule].per_rep_errors).all()
     spans = tracer.spans
     blocks = 2
-    inside = {"harness.reduced_statistics": ("harness.replication", blocks),
+    inside = {"harness.block_statistics": ("harness.replication", blocks),
               "model.bartlett_factor": ("harness.whitened_solve",
                                         config.reps),
-              "harness.whitened_solve": ("harness.reduced_statistics",
+              "harness.whitened_solve": ("harness.block_statistics",
                                          blocks),
               "classify.drawn_root_solve": ("harness.whitened_solve", blocks),
-              "classify.linear_forms": ("harness.reduced_statistics", blocks),
-              "harness.draw_test_statistics": ("harness.reduced_statistics",
+              "classify.linear_forms": ("harness.block_statistics", blocks),
+              "harness.draw_test_statistics": ("harness.block_statistics",
                                                blocks)}
     assert set(inside) == {name for name, _, _ in REDUCED_STAGES}
     for name, (parent, calls) in inside.items():
