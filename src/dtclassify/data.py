@@ -126,14 +126,16 @@ def ingest_csv(features_path, labels_path=None, label_column: str | None = None,
         column = header
     else:
         label_rows = _read_rows(labels_path)
-        if _is_header(label_rows[0]) and len(label_rows) == len(rows) + 1:
-            label_rows = label_rows[1:]
-        if len(label_rows) != len(rows):
+        labels = [row[0].strip() for row in label_rows]
+        # a header names the column, so it is not one of the labels
+        if (_is_header(label_rows[0]) and len(labels) == len(rows) + 1
+                and labels[0] not in labels[1:]):
+            labels = labels[1:]
+        if len(labels) != len(rows):
             raise DataError(
-                f"{labels_path}: {len(label_rows)} labels for "
+                f"{labels_path}: {len(labels)} labels for "
                 f"{len(rows)} samples"
             )
-        labels = [row[0].strip() for row in label_rows]
         names = tuple(header) if header is not None else None
         column = range(1, width + 1)
     feats = np.array(

@@ -220,12 +220,6 @@ class ExperimentConfig:
                                    self.mean_scale)
 
     @cached_property
-    def white_fixed_mu2(self) -> np.ndarray | None:
-        """Gamma^-1 mu2 for the fixed mu2, or None when redrawn per rep."""
-        mu2 = self.fixed_mu2
-        return None if mu2 is None else self.gamma.unmix(mu2)
-
-    @cached_property
     def mean_scale(self) -> float:
         """The scale e of the delocalized uniform law of mu2."""
         return delocalized_scale(self.covariance, self.localized_delta2)
@@ -429,9 +423,7 @@ def _reduced_training(config: ExperimentConfig, mu, rngs
     elif "d" in rules:
         # the whitened means Gamma^-1 xbar (mu1 = 0) and Gamma^-1 ybar,
         # whose difference Gamma^-1 (xbar - ybar) the D-rule's solve reads
-        white_mu2 = config.white_fixed_mu2
-        if white_mu2 is None:  # mu2 is redrawn in each replication
-            white_mu2 = _each(gamma.unmix, mu[1])
+        white_mu2 = _each(gamma.unmix, mu[1])  # mu2 is p or B x p
         white_x = z[:, 0] / math.sqrt(config.n1)
         white_y = white_mu2 + z[:, 1] / math.sqrt(config.n2)
         # u = A^-1 (xbar - ybar) is read through m'u and mu2'u, and

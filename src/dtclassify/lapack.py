@@ -78,19 +78,6 @@ def set_blas_threads(count: int) -> None:
     _set_threads(count)
 
 
-def _address(a: np.ndarray) -> int:
-    """The address of a contiguous array's first element.
-
-    ``a.ctypes.data`` builds a ctypes view of ``a`` first, at three times
-    the cost of reading the address from its buffer, which needs a
-    writable buffer in C order (an F-ordered array's transpose is one).
-    """
-    c_order = a if a.flags.c_contiguous else a.T
-    if a.size and c_order.flags.c_contiguous and a.flags.writeable:
-        return ctypes.addressof(ctypes.c_char.from_buffer(c_order))
-    return a.ctypes.data
-
-
 def _factors(L: np.ndarray) -> tuple[int, bytes, bool, list[int]]:
     """(n, uplo, flipped, addresses) of a lower triangular factor L of
     order n in either memory order, or of a C-ordered stack (..., n, n) of
@@ -103,7 +90,7 @@ def _factors(L: np.ndarray) -> tuple[int, bytes, bool, list[int]]:
     if not (fortran or L.flags.c_contiguous):
         raise ValueError("the matrix must be contiguous")
     n = L.shape[-1]
-    start, size = _address(L), n * n * L.itemsize
+    start, size = L.ctypes.data, n * n * L.itemsize
     count = math.prod(L.shape[:-2])
     return (n, b"L" if fortran else b"U", not fortran,
             [start + i * size for i in range(count)])
@@ -162,7 +149,7 @@ def _solves(L: np.ndarray, b, transposes) -> np.ndarray:
                          f"match factors of shape {L.shape}")
     nrhs = _INT(1 if x.ndim == 1 or stack else x.shape[1])
     order, lead, info = _INT(n), _INT(max(n, 1)), _INT()
-    start = _address(x)
+    start = x.ctypes.data
     for i, factor in enumerate(factors):
         for trans in transposes:
             _dtrtrs(uplo, b"T" if trans != flipped else b"N", b"N", order,
@@ -186,7 +173,7 @@ def reciprocal_condition(L: np.ndarray, anorm):
     norms = np.broadcast_to(np.asarray(anorm, dtype=float), L.shape[:-2])
     # work, 3n doubles, then iwork, n 64-bit integers, in one buffer
     buffer = np.empty(max(4 * n, 1))
-    work = _address(buffer)
+    work = buffer.ctypes.data
     order, lead, info = _INT(n), _INT(max(n, 1)), _INT()
     rcond = ctypes.c_double()
     out = np.empty(len(factors))
@@ -223,18 +210,18 @@ def qr(a, mode: str = "reduced"):
     k = min(m, n)
     # tau in the first k entries, the workspace after them
     buffer = np.empty(k + _WORK_PER_COLUMN * max(n, 1))
-    tau = _address(buffer)
+    tau = buffer.ctypes.data
     work = tau + k * buffer.itemsize
     rows, lead, lwork, info = _INT(m), _INT(max(m, 1)), \
         _INT(buffer.size - k), _INT()
-    _dgeqrf(rows, _INT(n), _address(h), lead, tau, work, lwork, info)
+    _dgeqrf(rows, _INT(n), h.ctypes.data, lead, tau, work, lwork, info)
     _check(info, "dgeqrf")
     R = h[:k].copy()
     R[strictly_lower(k, n)] = 0.0
     if mode == "r":
         return R
     Q = h[:, :k]  # the first k columns of h, still F-contiguous
-    _dorgqr(rows, _INT(k), _INT(k), _address(Q), lead, tau, work, lwork,
+    _dorgqr(rows, _INT(k), _INT(k), Q.ctypes.data, lead, tau, work, lwork,
             info)
     _check(info, "dorgqr")
     return np.ascontiguousarray(Q), R

@@ -122,11 +122,13 @@ REFERENCE_TABLE3 = {
           "sroad2": (18.0, 8.26), "oracle": (11.4, 1.93), "t": (37.0, 2.19)},
 }
 
-# Trace criterion under delocalization: sample size -> (median, se).
+# Trace criterion under delocalization, keyed by sample size.
 REFERENCE_TABLE4 = {
-    100: (13.00, 2.52), 150: (11.00, 1.90), 200: (9.75, 1.57),
-    250: (9.00, 1.35), 300: (8.50, 1.20), 350: (8.14, 1.11),
-    400: (7.88, 1.01), 450: (7.56, 0.95), 500: (7.40, 0.89),
+    100: {"t": (13.00, 2.52)}, 150: {"t": (11.00, 1.90)},
+    200: {"t": (9.75, 1.57)}, 250: {"t": (9.00, 1.35)},
+    300: {"t": (8.50, 1.20)}, 350: {"t": (8.14, 1.11)},
+    400: {"t": (7.88, 1.01)}, 450: {"t": (7.56, 0.95)},
+    500: {"t": (7.40, 0.89)},
 }
 
 # Leukemia dataset: method -> (train errors, test errors, genes used).
@@ -197,21 +199,7 @@ def _corr_table(kind: str, innov: InnovationSpec, reference: dict,
         scenario=ScenarioSpec("delocalized", n0=10),
         innovation1=innov, innovation2=innov,
         classifiers=classifiers, reps=reps, master_seed=master_seed,
-    ), partial(_corr_row, reference)) for rho in RHO_GRID]
-
-
-def _corr_row(reference: dict, config: ExperimentConfig, result) -> dict:
-    rho = config.covariance.rho
-    row: dict = {"rho": rho}
-    for clf, r in result.classifiers.items():
-        row[f"{clf}_median"] = r.median_error_pct
-        row[f"{clf}_se"] = r.se_pct
-        if r.theory_pred_pct is not None:
-            row[f"{clf}_theory"] = r.theory_pred_pct
-    for name, (med, se) in reference[rho].items():
-        row[f"ref_{name}_median"] = med
-        row[f"ref_{name}_se"] = se
-    return row
+    ), partial(_table_row, "rho", rho, reference)) for rho in RHO_GRID]
 
 
 def _table4(reps: int, master_seed: int) -> list:
@@ -219,15 +207,24 @@ def _table4(reps: int, master_seed: int) -> list:
         p=500, n1=n, n2=n, covariance=CovarianceSpec.identity(500),
         scenario=ScenarioSpec("delocalized", n0=10),
         classifiers=("t",), reps=reps, master_seed=master_seed,
-    ), _table4_row) for n in range(100, 501, 50)]
+    ), partial(_table_row, "n1", n, REFERENCE_TABLE4))
+        for n in range(100, 501, 50)]
 
 
-def _table4_row(config: ExperimentConfig, result) -> dict:
-    r = result.classifiers["t"]
-    med, se = REFERENCE_TABLE4[config.n1]
-    return {"n1": config.n1, "t_median": r.median_error_pct,
-            "t_se": r.se_pct, "t_theory": r.theory_pred_pct,
-            "ref_t_median": med, "ref_t_se": se}
+def _table_row(column: str, value, reference: dict,
+               config: ExperimentConfig, result) -> dict:
+    """A table's row: the grid's ``column`` at ``value``, each rule's
+    median, se and theory, then the published medians and se."""
+    row: dict = {column: value}
+    for clf, r in result.classifiers.items():
+        row[f"{clf}_median"] = r.median_error_pct
+        row[f"{clf}_se"] = r.se_pct
+        if r.theory_pred_pct is not None:
+            row[f"{clf}_theory"] = r.theory_pred_pct
+    for name, (med, se) in reference[value].items():
+        row[f"ref_{name}_median"] = med
+        row[f"ref_{name}_se"] = se
+    return row
 
 
 def _fig_design(p: int, n1: int, n2: int) -> TheoryInputsD:

@@ -49,7 +49,8 @@ def normal_cdf(x) -> float | np.ndarray:
 
 # Phi through the rational approximations of erf and erfc in Cephes
 # (Moshier, ndtr.c), operation for operation, so the values are those of
-# that library's ndtr to the last bit.
+# that library's ndtr to the last bit. erf above 1 and erfc below 0 are
+# left out: _ndtr never passes them.
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
            7.46321056442269912687e0, 4.86371970985681366614e1,
            1.96520832956077098242e2, 5.26445194995477358631e2,
@@ -94,28 +95,22 @@ def _p1evl(x: float, coef) -> float:
 def _erf(x: float) -> float:
     if x < 0.0:
         return -_erf(-x)
-    if x > 1.0:
-        return 1.0 - _erfc(x)
     z = x * x
     return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
 
 
-def _erfc(a: float) -> float:
-    x = abs(a)
+def _erfc(x: float) -> float:
     if x < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
+        return 1.0 - _erf(x)
+    z = -x * x
     if z < -_MAXLOG:  # underflow
-        return 2.0 if a < 0.0 else 0.0
+        return 0.0
     z = math.exp(z)
     if x < 8.0:
         p, q = _polevl(x, _ERFC_P), _p1evl(x, _ERFC_Q)
     else:
         p, q = _polevl(x, _ERFC_R), _p1evl(x, _ERFC_S)
-    y = (z * p) / q
-    if a < 0.0:
-        y = 2.0 - y
-    return y
+    return (z * p) / q
 
 
 def _ndtr(a: float) -> float:

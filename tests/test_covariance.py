@@ -91,6 +91,7 @@ class TestInverse:
         CovarianceSpec.ar1(7, 0.9),
         CovarianceSpec.ar1(200, -0.7),
         CovarianceSpec.diagonal(np.linspace(0.5, 2.0, 7)),
+        CovarianceSpec.ar1(1, 0.5),
     ])
     def test_closed_forms_match_numpy(self, spec):
         sigma = build_covariance(spec)

@@ -11,7 +11,7 @@ import dtclassify
 from dtclassify import cli
 from dtclassify import io as dtio
 from dtclassify.covariance import CovarianceSpec
-from dtclassify.data import ingest_csv
+from dtclassify.data import LabeledDataset, ingest_csv
 from dtclassify.errors import ConfigError, DataError
 from dtclassify.harness import ExperimentConfig, run_experiment
 from dtclassify.model import InnovationSpec, ScenarioSpec
@@ -85,6 +85,9 @@ class TestParseConfig:
         assert config.innovation2 == config.innovation1
         assert config.test1 == 100 and config.test2 == 100
         assert config.reps == 500
+        assert config.scenario.redraw_mu2
+        text = FULL.replace("redraw_mu2 = true", "redraw_mu2 = off")
+        assert not dtio.parse_config(write(tmp_path, text)).scenario.redraw_mu2
 
     def test_second_innovation(self, tmp_path):
         text = FULL.replace("df = 7", "df = 7\nkind2 = gamma_shifted\n"
@@ -107,6 +110,9 @@ class TestParseConfig:
         path = write(tmp_path, "[experiment]\np = 10\nn1 = 20\nn2 = 20\n")
         with pytest.raises(ConfigError, match=r"\[experiment\].seed"):
             dtio.parse_config(path)
+        path = write(tmp_path, "[classifiers]\nlist = t\n")
+        with pytest.raises(ConfigError, match=r"section \[experiment\]"):
+            dtio.parse_config(path)
 
     def test_rho_out_of_range(self, tmp_path):
         path = write(tmp_path, MINIMAL + "\n[covariance]\nkind = ar1\n"
@@ -125,6 +131,14 @@ class TestParseConfig:
     def test_unparseable_value(self, tmp_path):
         path = write(tmp_path, MINIMAL.replace("n1 = 20", "n1 = twenty"))
         with pytest.raises(ConfigError, match=r"\[experiment\].n1"):
+            dtio.parse_config(path)
+        path = write(tmp_path, FULL.replace("redraw_mu2 = true",
+                                            "redraw_mu2 = maybe"))
+        with pytest.raises(ConfigError, match=r"\[scenario\].redraw_mu2: "
+                                              r"cannot parse 'maybe'"):
+            dtio.parse_config(path)
+        path = write(tmp_path, MINIMAL + "\n[classifiers]\nlist = t,,d\n")
+        with pytest.raises(ConfigError, match=r"\[classifiers\].list"):
             dtio.parse_config(path)
 
     def test_unknown_classifier_lists_valid_ids(self, tmp_path):
@@ -338,6 +352,12 @@ class TestIngestCsv:
         ds = ingest_csv(feats, labels_path=labs)
         assert ds.feature_names == ("g1", "g2")
         assert ds.n == 2
+        # a label file's header names the column, and is none of the labels
+        labs.write_text("label\na\nb\n")
+        assert ingest_csv(feats, labels_path=labs).labels == ("a", "b")
+        feats.write_text("g1,g2\n")
+        with pytest.raises(DataError, match="no data rows after the header"):
+            ingest_csv(feats, labels_path=labs)
 
     def test_label_column_in_features_file(self, tmp_path):
         feats = tmp_path / "x.csv"
@@ -345,6 +365,11 @@ class TestIngestCsv:
         ds = ingest_csv(feats, label_column="cls")
         assert ds.p == 2
         assert ds.labels == ("a", "a", "b", "b")
+        with pytest.raises(DataError, match="'group' not found in header"):
+            ingest_csv(feats, label_column="group")
+        feats.write_text("1,2\n3,4\n")
+        with pytest.raises(DataError, match="requires a header row"):
+            ingest_csv(feats, label_column="cls")
 
     def test_positive_label_pins_group_one(self, tmp_path):
         feats = tmp_path / "x.csv"
@@ -354,6 +379,8 @@ class TestIngestCsv:
         ds = ingest_csv(feats, labels_path=labs, positive_label="b")
         assert ds.label_set == ("b", "a")
         assert np.array_equal(ds.group(1), [[3], [4]])
+        with pytest.raises(DataError, match="positive label 'c' not present"):
+            ingest_csv(feats, labels_path=labs, positive_label="c")
 
     def test_ragged_rows_rejected(self, tmp_path):
         feats = tmp_path / "x.csv"
@@ -362,6 +389,8 @@ class TestIngestCsv:
         labs.write_text("a\nb\n")
         with pytest.raises(DataError, match="row 2"):
             ingest_csv(feats, labels_path=labs)
+        with pytest.raises(DataError, match="2-D"):
+            LabeledDataset(np.zeros(2), ("a", "b"), ("a", "b"))
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         feats = tmp_path / "x.csv"
@@ -369,6 +398,9 @@ class TestIngestCsv:
         labs = tmp_path / "y.csv"
         labs.write_text("a\nb\n")
         with pytest.raises(DataError, match="oops"):
+            ingest_csv(feats, labels_path=labs)
+        feats.write_text("1,2\n3,nan\n")
+        with pytest.raises(DataError, match="non-finite"):
             ingest_csv(feats, labels_path=labs)
 
     def test_label_count_mismatch(self, tmp_path):
@@ -378,6 +410,17 @@ class TestIngestCsv:
         labs.write_text("a\na\nb\nb\n")
         with pytest.raises(DataError, match="4 labels"):
             ingest_csv(feats, labels_path=labs)
+        # one label too many, the first non-numeric but also a label below
+        feats.write_text("1,2\n3,4\n5,6\n")
+        with pytest.raises(DataError, match="4 labels for 3 samples"):
+            ingest_csv(feats, labels_path=labs)
+        labs.write_text("label\na\nb\nb\n")
+        assert ingest_csv(feats, labels_path=labs).labels == ("a", "b", "b")
+        labs.write_text("")
+        with pytest.raises(DataError, match="file is empty"):
+            ingest_csv(feats, labels_path=labs)
+        with pytest.raises(DataError, match="one label per sample"):
+            LabeledDataset(np.zeros((2, 1)), ("a", "b", "b"), ("a", "b"))
 
     def test_more_than_two_classes_rejected(self, tmp_path):
         feats = tmp_path / "x.csv"
@@ -386,6 +429,8 @@ class TestIngestCsv:
         labs.write_text("a\nb\nc\n")
         with pytest.raises(DataError, match="exactly 2"):
             ingest_csv(feats, labels_path=labs)
+        with pytest.raises(DataError, match=r"found \['a', 'b', 'c'\]"):
+            LabeledDataset(np.zeros((3, 1)), ("a", "b", "c"), ("a", "b"))
 
     def test_exactly_one_label_source_required(self, tmp_path):
         feats = tmp_path / "x.csv"

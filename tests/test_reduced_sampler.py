@@ -181,9 +181,8 @@ class TestWhitenedSolve:
     ])
     def test_schur_path_keeps_the_whitened_means(self, monkeypatch, scenario,
                                                  unmixes):
-        # Gamma^-1 is applied only to the solutions u and, when mu2 is
-        # redrawn, to mu2, once per block to each replication's vector;
-        # a fixed mu2's Gamma^-1 mu2 is the config's
+        # Gamma^-1 is applied only to the solutions u and to mu2, once per
+        # block: to each replication's vector, or once to a fixed mu2
         calls = []
         real_unmix = MixingMatrix.unmix
         monkeypatch.setattr(
@@ -191,10 +190,9 @@ class TestWhitenedSolve:
             lambda self, M: calls.append(np.shape(M)) or real_unmix(self, M))
         config = config_of(covariance=SPECS["ar1"], scenario=scenario,
                            classifiers=("d", "t", "oracle"), reps=2)
-        config.white_fixed_mu2  # built once per config, before the count
-        calls.clear()
         harness.reduced_replication(config, range(config.reps))
-        assert calls == [(config.reps, 8, 1)] * unmixes
+        fixed = [] if config.fixed_mu2 is None else [(8, 1)]
+        assert calls == fixed + [(config.reps, 8, 1)] * unmixes
 
     def test_guard_names_the_schur_complement(self, monkeypatch):
         # a limit between the condition estimates of replications 0 and 1,
@@ -223,7 +221,9 @@ class TestGoldenCounts:
     may not. These counts are the Bartlett path (every rule, a redrawn
     delocalized mean, equal correlation), the Schur path (the D-rule alone)
     and the T-rule alone, as the sampler gave them at that commit, one
-    replication at a time; run as one block, it gives them too.
+    replication at a time; run as one block, it gives them too. The Schur
+    path under a Sigma that mixes, with a fixed localized and a fixed
+    delocalized mean, is pinned at commit 1bf3c3c.
     """
 
     CASES = {
@@ -239,6 +239,21 @@ class TestGoldenCounts:
                    {"d": (6, 5)}]),
         "t": (dict(classifiers=("t",)),
               [{"t": (4, 8)}, {"t": (5, 6)}, {"t": (5, 4)}, {"t": (2, 4)}]),
+        "schur_ar1": (
+            dict(covariance=CovarianceSpec.ar1(8, 0.4),
+                 classifiers=("d", "t", "oracle")),
+            [{"d": (9, 6), "t": (4, 7), "oracle": (4, 6)},
+             {"d": (8, 4), "t": (7, 4), "oracle": (6, 5)},
+             {"d": (11, 3), "t": (6, 5), "oracle": (6, 6)},
+             {"d": (4, 3), "t": (6, 3), "oracle": (5, 4)}]),
+        "schur_fixed_delocalized": (
+            dict(covariance=CovarianceSpec.equal_corr(8, 0.4),
+                 scenario=ScenarioSpec("delocalized", 3, redraw_mu2=False),
+                 classifiers=("d", "t", "oracle")),
+            [{"d": (9, 5), "t": (3, 6), "oracle": (5, 5)},
+             {"d": (7, 2), "t": (4, 3), "oracle": (6, 4)},
+             {"d": (11, 3), "t": (5, 5), "oracle": (5, 5)},
+             {"d": (5, 12), "t": (4, 4), "oracle": (6, 5)}]),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

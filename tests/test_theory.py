@@ -81,6 +81,11 @@ class TestDeterminantRule:
             TheoryInputsD(0.5, 0.5, -1.0)
         with pytest.raises(DomainError):
             tau(TheoryInputsD(0.5, 0.5, 0.0))
+        for y in (0.0, 1.0):
+            with pytest.raises(DomainError, match="y must lie in"):
+                theta2(y, 1.0)
+        with pytest.raises(DomainError, match="Delta"):
+            theta2(0.5, -1.0)
 
 
 # an innovation law with skewness theta = 2 and fourth moment gamma4 = 9
@@ -149,6 +154,12 @@ class TestTraceRuleVariance:
         assert inputs.ones_gamma3_delta == pytest.approx(
             np.sum(sig**1.5 * delta))
         assert inputs.norm2 == pytest.approx(np.sum(delta**2))
+        with pytest.raises(DomainError, match="length 4"):
+            TheoryInputsT.from_delta(delta[:3], CovarianceSpec.diagonal(sig),
+                                     30, 40)
+        with pytest.raises(DomainError, match="sample sizes"):
+            TheoryInputsT.from_delta(delta, CovarianceSpec.diagonal(sig),
+                                     0, 40)
 
     def test_terms_for_correlated_structure(self):
         from dtclassify.covariance import MixingMatrix, build_covariance
