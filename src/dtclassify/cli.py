@@ -194,7 +194,7 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return _cmd_classify(args)
         return _cmd_reproduce(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

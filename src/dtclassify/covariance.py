@@ -160,19 +160,14 @@ def mahalanobis(delta, spec: CovarianceSpec, sigma_inv=None) -> float:
     return float(delta @ inv @ delta)
 
 
-def trace_sigma_squared(spec: CovarianceSpec) -> float:
-    """tr(Sigma^2) = squared Frobenius norm of Sigma."""
+def sigma_sums(spec: CovarianceSpec) -> tuple[float, float, float]:
+    """(tr Sigma, 1' Sigma 1, tr Sigma^2), the last the squared Frobenius
+    norm; p, p and p for the identity, without forming it."""
     if spec.kind == "identity":
-        return float(spec.p)
-    return float(np.sum(build_covariance(spec) ** 2))
-
-
-def trace_and_sum(spec: CovarianceSpec) -> tuple[float, float]:
-    """(tr Sigma, 1' Sigma 1); p and p for the identity, without forming it."""
-    if spec.kind == "identity":
-        return float(spec.p), float(spec.p)
+        return float(spec.p), float(spec.p), float(spec.p)
     sigma = build_covariance(spec)
-    return float(np.trace(sigma)), float(np.sum(sigma))
+    return (float(np.trace(sigma)), float(np.sum(sigma)),
+            float(np.sum(sigma ** 2)))
 
 
 def beta_squared(spec: CovarianceSpec) -> float:

@@ -121,7 +121,7 @@ def ingest_csv(features_path, labels_path=None, label_column: str | None = None,
             raise DataError(
                 f"label column {label_column!r} not found in header"
             ) from None
-        labels = [row[col] for row in rows]
+        labels = [row[col].strip() for row in rows]
         names = tuple(h for j, h in enumerate(header) if j != col)
         column = header
     else:

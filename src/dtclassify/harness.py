@@ -56,8 +56,7 @@ from .covariance import (
     beta_squared,
     inverse_covariance,
     mahalanobis,
-    trace_and_sum,
-    trace_sigma_squared,
+    sigma_sums,
 )
 from .data import LabeledDataset
 from .errors import DomainError, NumericalError
@@ -666,10 +665,10 @@ def trace_inputs(config: ExperimentConfig) -> TheoryInputsT:
                                         innov1, innov2, gamma=config.gamma)
     # entries i.i.d. Uniform(e/2, 3e/2), mean e, variance e^2/12
     e = config.mean_scale
-    trace, total = trace_and_sum(sigma)
+    trace, total, tr_sigma2 = sigma_sums(sigma)
     e2 = e * e
     return TheoryInputsT(
-        sigma, config.n1, config.n2, trace_sigma_squared(sigma),
+        sigma, config.n1, config.n2, tr_sigma2,
         float(e2 * (trace / 12.0 + total)),
         e * config.gamma.cube_sum(), float(config.p * e2 * 13.0 / 12.0),
         innov1, innov2)

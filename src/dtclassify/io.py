@@ -18,7 +18,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -207,10 +207,6 @@ def _write_csv(path: Path, rows: list[dict]):
         fh.writelines(line + "\n" for line in csv_lines(rows))
 
 
-def _innovation_record(spec: InnovationSpec) -> dict:
-    return {"kind": spec.kind, "df": spec.df, "negate": spec.negate}
-
-
 def config_record(config: ExperimentConfig) -> dict:
     """Every field needed to re-run the experiment, as JSON-ready values.
 
@@ -226,11 +222,9 @@ def config_record(config: ExperimentConfig) -> dict:
         "covariance": {"kind": config.covariance.kind,
                        "rho": config.covariance.rho,
                        "sigmas": None if sigmas is None else sigmas.tolist()},
-        "scenario": {"kind": config.scenario.kind,
-                     "n0": config.scenario.n0,
-                     "redraw_mu2": config.scenario.redraw_mu2},
-        "innovation1": _innovation_record(config.innovation1),
-        "innovation2": _innovation_record(config.innovation2),
+        "scenario": asdict(config.scenario),
+        "innovation1": asdict(config.innovation1),
+        "innovation2": asdict(config.innovation2),
         "classifiers": list(config.classifiers),
         "theory_overlay": config.theory_overlay,
         "mu2_override": None if mu2 is None else mu2.tolist(),

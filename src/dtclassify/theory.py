@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import alpha
+from .classify import alpha, pooled_scatter
 from .covariance import (
     CovarianceSpec,
     MixingMatrix,
     build_covariance,
-    trace_sigma_squared,
+    sigma_sums,
 )
 from .errors import DomainError, SingularityError
 from .model import InnovationSpec
@@ -44,32 +44,37 @@ def normal_cdf(x) -> float | np.ndarray:
     """Standard normal CDF Phi, elementwise for an array."""
     if np.ndim(x) == 0:
         return _ndtr(float(x))
-    return np.vectorize(_ndtr, otypes=[float])(x)
+    # numpy float64 scalars flag an overflow where |x| passes about 1e154
+    # and x * x in _erfc is inf, which is Cephes' own underflow path to 0
+    with np.errstate(over="ignore"):
+        return np.vectorize(_ndtr, otypes=[float])(x)
 
 
 # Phi through the rational approximations of erf and erfc in Cephes
 # (Moshier, ndtr.c), operation for operation, so the values are those of
 # that library's ndtr to the last bit. erf above 1 and erfc below 0 are
-# left out: _ndtr never passes them.
+# left out: _ndtr never passes them. _ERFC_Q, _ERFC_S and _ERF_U write out
+# the leading 1.0 that Cephes' p1evl leaves implicit, so _polevl reads all
+# six tables: its first step 1.0 * x + c0 is p1evl's x + c0 exactly.
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
            7.46321056442269912687e0, 4.86371970985681366614e1,
            1.96520832956077098242e2, 5.26445194995477358631e2,
            9.34528527171957607540e2, 1.02755188689515710272e3,
            5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
            3.54937778887819891062e2, 9.75708501743205489753e2,
            1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
 _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
            5.01905042251180477414e0, 6.16021097993053585195e0,
            7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
            1.20489539808096656605e1, 1.70814450747565897222e1,
            9.60896809063285878198e0, 3.36907645100081516050e0)
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
           2.23200534594684319226e3, 7.00332514112805075473e3,
           5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
           4.59432382970980127987e3, 2.26290000613890934246e4,
           4.92673942608635921086e4)
 _MAXLOG = 7.09782712893383996843e2  # log of the largest double
@@ -84,19 +89,11 @@ def _polevl(x: float, coef) -> float:
     return out
 
 
-def _p1evl(x: float, coef) -> float:
-    """x^N + coef[0] x^(N-1) + ... + coef[N-1]: a leading coefficient of 1."""
-    out = x + coef[0]
-    for c in coef[1:]:
-        out = out * x + c
-    return out
-
-
 def _erf(x: float) -> float:
     if x < 0.0:
         return -_erf(-x)
     z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
 
 
 def _erfc(x: float) -> float:
@@ -107,9 +104,9 @@ def _erfc(x: float) -> float:
         return 0.0
     z = math.exp(z)
     if x < 8.0:
-        p, q = _polevl(x, _ERFC_P), _p1evl(x, _ERFC_Q)
+        p, q = _polevl(x, _ERFC_P), _polevl(x, _ERFC_Q)
     else:
-        p, q = _polevl(x, _ERFC_R), _p1evl(x, _ERFC_S)
+        p, q = _polevl(x, _ERFC_R), _polevl(x, _ERFC_S)
     return (z * p) / q
 
 
@@ -223,7 +220,7 @@ class TheoryInputsT:
             dsd = float(delta @ build_covariance(sigma) @ delta)
             g3 = (gamma or MixingMatrix.from_spec(sigma)).cube()
             g3d = float(np.sum(g3 @ delta))
-        return cls(sigma, n1, n2, trace_sigma_squared(sigma), dsd, g3d,
+        return cls(sigma, n1, n2, sigma_sums(sigma)[2], dsd, g3d,
                    float(delta @ delta), innov1, innov2)
 
 
@@ -303,11 +300,8 @@ def mp_empirical(n: int, p: int, innovation: InnovationSpec,
     half = int(np.ceil(n / 2))
     X = innovation.sample(rng, (half, p))
     Y = innovation.sample(rng, (half, p))
-    xbar, ybar = X.mean(axis=0), Y.mean(axis=0)
-    Xc, Yc = X - xbar, Y - ybar
-    S = (Xc.T @ Xc + Yc.T @ Yc) / n
-    S = (S + S.T) / 2.0
-    S_inv = np.linalg.inv(S)
+    xbar = X.mean(axis=0)
+    S_inv = np.linalg.inv(pooled_scatter(X, Y) / n)
     S_inv2 = S_inv @ S_inv
     return (
         float(np.trace(S_inv) / p),

@@ -62,6 +62,8 @@ class TestFit:
         # without the scatter the same data are fine
         stats = fit(X, Y, need_scatter=False)
         assert stats.root is None
+        with pytest.raises(SingularityError, match="no pooled scatter"):
+            d_statistics(stats, X)
 
     def test_ill_conditioned_scatter_rejected(self):
         # cond(L L') is about 1e16 while diag(L) = (1, 1) looks perfect

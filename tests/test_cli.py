@@ -150,6 +150,15 @@ class TestSimulate:
                      "--out", str(tmp_path)])
         assert code == 1
 
+    def test_output_path_that_is_a_file_exits_one(self, tmp_path, capsys):
+        config = write(tmp_path, SMALL)
+        taken = write(tmp_path, "", name="taken")
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(taken)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(taken) in err
+
     def test_missing_required_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])
@@ -281,6 +290,17 @@ class TestClassify:
                      "--test", str(feats), "--test-labels", str(labs)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_input_file_exits_one(self, tmp_path, capsys):
+        rng = np.random.default_rng(43)
+        te_x, te_y = write_dataset(tmp_path, rng, "test")
+        missing = tmp_path / "missing.csv"
+        code = main(["classify", "--train", str(missing),
+                     "--train-labels", str(te_y),
+                     "--test", str(te_x), "--test-labels", str(te_y)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
 
     def test_d_on_wide_data_exits_two(self, tmp_path, capsys):
         rng = np.random.default_rng(41)

@@ -10,8 +10,7 @@ from dtclassify.covariance import (
     build_covariance,
     inverse_covariance,
     mahalanobis,
-    trace_and_sum,
-    trace_sigma_squared,
+    sigma_sums,
 )
 from dtclassify.errors import CalibrationError, DomainError
 
@@ -53,6 +52,7 @@ class TestSpecValidation:
         assert a == b
         assert a != c
         assert hash(a) == hash(b)
+        assert (CovarianceSpec.identity(2) == "identity") is False
 
 
 class TestBuild:
@@ -138,16 +138,16 @@ class TestMahalanobis:
 
 class TestTraceSigmaSquared:
     def test_identity(self):
-        assert trace_sigma_squared(CovarianceSpec.identity(9)) == 9.0
+        assert sigma_sums(CovarianceSpec.identity(9))[2] == 9.0
 
     def test_diagonal(self):
         spec = CovarianceSpec.diagonal([1.0, 2.0, 3.0])
-        assert trace_sigma_squared(spec) == pytest.approx(14.0)
+        assert sigma_sums(spec)[2] == pytest.approx(14.0)
 
     def test_general_matches_eigenvalues(self):
         spec = CovarianceSpec.ar1(15, 0.6)
         vals = np.linalg.eigvalsh(build_covariance(spec))
-        assert trace_sigma_squared(spec) == pytest.approx(np.sum(vals**2))
+        assert sigma_sums(spec)[2] == pytest.approx(np.sum(vals**2))
 
 
 class TestBetaSquared:
@@ -259,5 +259,5 @@ class TestTraceAndSum:
     ])
     def test_matches_the_dense_matrix_exactly(self, spec):
         sigma = build_covariance(spec)
-        assert trace_and_sum(spec) == (float(np.trace(sigma)),
-                                       float(np.sum(sigma)))
+        assert sigma_sums(spec)[:2] == (float(np.trace(sigma)),
+                                        float(np.sum(sigma)))

@@ -750,3 +750,8 @@ class TestClassifyDataset:
         test = toy_dataset(rng, 10, 4, 8.0, labels=("a", "c"))
         with pytest.raises(DomainError):
             classify_dataset(train, test, ("t",))
+        with pytest.raises(DomainError, match="LabeledDataset instances"):
+            classify_dataset(train.features, train, ("t",))
+        wider = toy_dataset(rng, 10, 5, 8.0)
+        with pytest.raises(DomainError, match="train 4, test 5"):
+            classify_dataset(train, wider, ("t",))

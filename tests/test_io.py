@@ -370,6 +370,9 @@ class TestIngestCsv:
         feats.write_text("1,2\n3,4\n")
         with pytest.raises(DataError, match="requires a header row"):
             ingest_csv(feats, label_column="cls")
+        # cells are stripped as a label file's lines are
+        feats.write_text("f1,f2,label\n1,2,x\n3,4, x\n5,6,y\n")
+        assert ingest_csv(feats, label_column="label").label_set == ("x", "y")
 
     def test_positive_label_pins_group_one(self, tmp_path):
         feats = tmp_path / "x.csv"

@@ -1,5 +1,7 @@
 """Asymptotic formulas: hand-frozen values, identities, and limits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,8 @@ class TestNormalCdf:
         assert normal_cdf(-1.96) == pytest.approx(0.0250, abs=1e-4)
         out = normal_cdf(np.array([0.0, 1.0]))
         assert out.shape == (2,)
+        # x * x overflows past |x| ~ 1e154 on Cephes' path to 0, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normal_cdf(np.array([1e300, -1e200, 0.0]))
+        assert out.tolist() == [1.0, 0.0, 0.5]
