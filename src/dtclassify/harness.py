@@ -35,6 +35,9 @@ is scheduled: it sizes the pool, keeps the caller on one BLAS thread until
 its processes are joined (a thread count restored between experiments
 would start OpenBLAS threads that spin next to the workers), and queues
 the whole series on entry, so no process waits for the next experiment.
+Before it forks, the caller imports ``numpy.random``, which numpy loads
+lazily and a caller that never draws has not loaded, so no child imports
+it again in its first chunk.
 ``run_experiment`` collects one config's replications from such a pool,
 or from a pool of its own when it is given none.
 """
@@ -105,6 +108,13 @@ def check_classifiers(classifiers, valid) -> None:
         raise DomainError(
             f"classifier id(s) listed more than once: {sorted(repeated)}",
             fields=("classifiers",))
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may use: its affinity mask's, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _pin_one_blas_thread() -> int:
@@ -586,23 +596,26 @@ class WorkerPool:
 def worker_pool(workers: int, configs):
     """The pool that runs ``configs``, each collected by ``run_experiment``.
 
-    It holds min(workers, CPUs, the largest reps) processes, forked only
-    when that is more than one, and queues every chunk of ``configs`` on
-    entry; an error cancels the chunks not yet started. The caller runs
+    It holds min(workers, usable CPUs, the largest reps) processes, forked
+    only when that is more than one, and queues every chunk of ``configs``
+    on entry; an error cancels the chunks not yet started. The caller runs
     OpenBLAS on one thread until the processes are joined.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     queued = {id(config): config for config in configs}
-    size = min(workers, os.cpu_count() or 1,
+    size = min(workers, _usable_cpus(),
                max((config.reps for config in queued.values()), default=1))
     previous = _pin_one_blas_thread()
     try:
         if size == 1:
             yield WorkerPool(queued, size)
             return
-        # imported here, so that a run on one process never loads it
+        # imported here, so that a run on one process never loads them;
+        # numpy.random before the fork, so the children inherit it
         from concurrent.futures import ProcessPoolExecutor
+
+        import numpy.random
 
         with ProcessPoolExecutor(max_workers=size,
                                  initializer=_pin_one_blas_thread) as executor:

@@ -2,8 +2,11 @@
 
 import concurrent.futures
 import importlib.util
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
@@ -255,13 +258,23 @@ class TestReplications:
         with pytest.raises(DomainError, match="workers"):
             run_experiment(small_config(reps=2), workers=0)
 
-    @pytest.mark.parametrize("cpus, size", [(3, 3), (64, 5), (None, None)])
+    # mask None: a platform without sched_getaffinity, which counts CPUs
+    @pytest.mark.parametrize("cpus, mask, size", [
+        (3, None, 3), (64, None, 5), (None, None, None),
+        (64, {0, 1, 2}, 3), (2, {0}, None)],
+        ids=["3-3", "64-5", "None-None", "64-mask3-3", "2-mask1-None"])
     def test_pool_capped_at_reps_and_cpus(self, fake_pool, monkeypatch,
-                                          cpus, size):
+                                          cpus, mask, size):
         config = small_config(reps=5)
         serial = run_experiment(config)
         fake_pool.install()
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        if mask is None:
+            monkeypatch.delattr(harness.os, "sched_getaffinity",
+                                raising=False)
+        else:
+            monkeypatch.setattr(harness.os, "sched_getaffinity",
+                                lambda pid: mask, raising=False)
         pooled = run_experiment(config, workers=10**6)
         assert fake_pool.sizes == ([] if size is None else [size])
         for clf in config.classifiers:
@@ -272,7 +285,7 @@ class TestReplications:
         configs = [small_config(reps=5, master_seed=s) for s in (1, 2, 3)]
         serial = [run_experiment(c) for c in configs]
         fake_pool.install()
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
         with harness.worker_pool(3, configs) as pool:
             pooled = [run_experiment(c, pool=pool) for c in configs]
         assert fake_pool.sizes == [3]
@@ -284,7 +297,7 @@ class TestReplications:
     def test_reproduce_target_starts_one_pool(self, fake_pool, monkeypatch):
         serial = reproduce("table4", table_reps=50)
         fake_pool.install()
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
         pooled = reproduce("table4", table_reps=50, workers=2)
         assert fake_pool.sizes == [2]
         assert pooled.rows == serial.rows
@@ -294,7 +307,7 @@ class TestReplications:
         # every chunk of every grid point is submitted before the first
         # point is collected, and each point is collected once, in order
         fake_pool.install()
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
         real, seen = reproduce_module.run_experiment, []
 
         def collect(config, pool):
@@ -316,7 +329,7 @@ class TestReplications:
         # the end of the target; only the previous point's result may still
         # hold its config when the next point runs
         fake_pool.install()
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
         real, refs, alive = reproduce_module.run_experiment, [], []
 
         def collect(config, pool):
@@ -334,7 +347,7 @@ class TestReplications:
         # its counts are collected, and equal those of a pool of three
         configs = [small_config(reps=5, master_seed=s) for s in (1, 2, 3)]
         fake_pool.install()
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
         ran = []
         real = harness._run_chunk
         monkeypatch.setattr(harness, "_run_chunk",
@@ -509,7 +522,7 @@ class TestBlasThreads:
                                                   monkeypatch):
         # one pin on entering the pool, one restore after its processes
         # are joined, and nothing between the grid points
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         events, real_set = [], lapack.set_blas_threads
 
         class Logged(ProcessPoolExecutor):
@@ -545,7 +558,7 @@ class TestQueuedGrid:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
 
     @pytest.mark.parametrize("target, kwargs", [("table1", {"table_reps": 50}),
                                                 ("fig2", {"scale": 0.005})])
@@ -582,6 +595,39 @@ class TestQueuedGrid:
         later = [line for line in log.read_text().split() if line != "0.0"]
         # without the cancel, leaving the pool runs all 9 later points
         assert len(later) < 50 * (len(RHO_GRID) - 1)
+
+
+@pytest.mark.skipif(harness._usable_cpus() < 2,
+                    reason="a pool of two needs two usable CPUs")
+def test_pool_children_import_nothing():
+    # a fresh interpreter, since this one has loaded numpy.random already;
+    # each chunk returns its process and the modules it added
+    code = (
+        "import json, os, sys\n"
+        "import dtclassify\n"
+        "from dtclassify import harness\n"
+        "real = harness._run_chunk\n"
+        "def added(args):\n"
+        "    before = set(sys.modules)\n"
+        "    real(args)\n"
+        "    return [[os.getpid(), sorted(set(sys.modules) - before)]]\n"
+        "harness._run_chunk = added\n"
+        "config = harness.ExperimentConfig(\n"
+        "    p=10, n1=20, n2=20,\n"
+        "    covariance=dtclassify.CovarianceSpec.identity(10),\n"
+        "    scenario=dtclassify.ScenarioSpec('delocalized', 5), reps=4)\n"
+        "with harness.worker_pool(2, [config]) as pool:\n"
+        "    print(json.dumps([os.getpid(), pool.counts(config)]))\n"
+    )
+    src = Path(harness.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=False,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    parent, chunks = json.loads(proc.stdout)
+    assert len(chunks) == 2
+    assert parent not in {pid for pid, _ in chunks}
+    assert [added for _, added in chunks] == [[], []]
 
 
 class TestTheoryOverlay:
