@@ -133,10 +133,9 @@ def _check_condition(L, anorm, name: str, cause: str) -> None:
 
     LAPACK dpocon estimates ||A^-1||_1 from A's lower Cholesky factor L;
     times ``anorm``, ||A||_1 or a bound on it, that is the 1-norm condition
-    estimate checked against ``covariance.CONDITION_LIMIT``. For a stack of
-    factors with one ``anorm`` each, the worst estimate is checked.
+    estimate checked against ``covariance.CONDITION_LIMIT``.
     """
-    rcond = float(np.min(lapack.reciprocal_condition(L, anorm)))
+    rcond = lapack.reciprocal_condition(L, anorm)
     if rcond * covariance.CONDITION_LIMIT < 1.0:
         cond_est = 1.0 / rcond if rcond > 0 else np.inf
         raise ConditioningError(
@@ -145,22 +144,19 @@ def _check_condition(L, anorm, name: str, cause: str) -> None:
         )
 
 
-def drawn_root_solve(T, v, name="whitened pooled scatter") -> np.ndarray:
+def drawn_root_solve(T, v) -> np.ndarray:
     """S^-1 v for S = T T', T the square Bartlett factor of the whitened
-    pooled scatter or of a k x k Schur complement of it, as ``name`` says;
-    or, for a stack of factors (..., k, k), each S^-1 v for its row of v.
+    pooled scatter.
 
     Checks S's condition first, with dpocon on T and ||S||_1 <=
     ||T||_1 ||T||_inf in place of ||S||_1, which would cost forming S: an
     estimate of cond_1(S) from above, by that bound's slack (under 20 at
     p = 450, n1 + n2 = 500). A = Gamma S Gamma is never formed or
-    factored, so Sigma's own condition is not part of the check. A stack
-    is solved only once every factor in it has passed.
+    factored, so Sigma's own condition is not part of the check.
     """
     absT = np.abs(T)
-    _check_condition(T, absT.sum(axis=-2).max(axis=-1)
-                     * absT.sum(axis=-1).max(axis=-1),
-                     name, "p/n too close to 1")
+    _check_condition(T, absT.sum(axis=0).max() * absT.sum(axis=1).max(),
+                     "whitened pooled scatter", "p/n too close to 1")
     return lapack.cholesky_solve(T, v)
 
 

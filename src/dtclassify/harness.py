@@ -8,7 +8,7 @@ fills the rules' record, ``classify.TrainedStats``, from rows fitted once
 (``fit_rows``, as in ``classify_dataset``) or, for normal innovations, from
 xbar, ybar and what the D-rule and naive Bayes read of the pooled scatter
 (the D-rule's root (Gamma, T) of it, fitted or drawn, or only its
-direction A^-1 (xbar - ybar), drawn through a Schur complement); testing
+direction A^-1 (xbar - ybar), drawn from that vector alone); testing
 scores rows by the rule table (``fitted_rule_statistics``) or, for normal
 innovations and n1 = n2, draws the statistics from linear forms.
 One body, ``block_statistics``, runs a block of replications with a
@@ -333,8 +333,8 @@ def block_statistics(config: ExperimentConfig, block, training, test
     else one row per replication), then ``training(config, mu, rngs)``,
     which returns the rules' record, and ``test(config, mu, stats,
     rngs)``, which returns the statistics. The reduced halves compute
-    once for the block on stacked arrays, with one matrix product, QR or
-    solve per replication at that replication's own shape and sums along
+    once for the block on stacked arrays, with one matrix product or QR
+    per replication at that replication's own shape and sums along
     its own axis, so no replication's statistics depend on the block it
     ran in.
     """
@@ -407,8 +407,8 @@ def _reduced_training(config: ExperimentConfig, mu, rngs
     W ~ W_p(I, n1 + n2 - 2). Naive Bayes reads all of diag A, so with it
     each replication draws its p x p Bartlett factor of W in turn
     (``bartlett_scatter``). Without it the D-rule reads A only through
-    u = A^-1 (xbar - ybar), which ``whitened_solve`` draws from an at most
-    4 x 4 Wishart."""
+    u = A^-1 (xbar - ybar), which ``whitened_solve`` draws from two
+    chi-squares and p normals."""
     gamma, p, rules = config.gamma, config.p, config.classifiers
     z = _normals(rngs, (2, p))
     mixed = _each(gamma.mix, z)
@@ -430,20 +430,13 @@ def _reduced_training(config: ExperimentConfig, mu, rngs
             if "d" in rules:
                 stats.direction[i] = one.direction
     elif "d" in rules:
-        # the whitened means Gamma^-1 xbar (mu1 = 0) and Gamma^-1 ybar,
-        # whose difference Gamma^-1 (xbar - ybar) the D-rule's solve reads
-        white_mu2 = _each(gamma.unmix, mu[1])  # mu2 is p or B x p
+        # Gamma^-1 (xbar - ybar), with mu1 = 0, from the whitened draws
+        # and Gamma^-1 mu2 (mu2 is p or B x p)
+        white_mu2 = _each(gamma.unmix, mu[1])
         white_x = z[:, 0] / math.sqrt(config.n1)
         white_y = white_mu2 + z[:, 1] / math.sqrt(config.n2)
-        # u = A^-1 (xbar - ybar) is read through m'u and mu2'u, and
-        # through Gamma u in the QR of the rules' Gamma w: its norm and
-        # its products with Gamma (xbar - ybar) for T and with the
-        # oracle's Gamma Sigma^-1 (mu1 - mu2) = -Gamma^-1 mu2
-        columns = [white_x - white_y, (white_x + white_y) / 2.0, white_mu2]
-        if "t" in rules:
-            columns.append(_each(gamma.mix, stats.mean_x - stats.mean_y))
         stats.direction = _each(gamma.unmix, whitened_solve(
-            np.stack(np.broadcast_arrays(*columns), axis=-1), dof, rngs))
+            white_x - white_y, dof, rngs))
     return stats
 
 
@@ -461,36 +454,30 @@ def bartlett_scatter(config: ExperimentConfig, stats, rng) -> None:
             T, gamma.unmix(stats.mean_x - stats.mean_y)))
 
 
-def whitened_solve(columns, dof: int, rngs) -> np.ndarray:
+def whitened_solve(e, dof: int, rngs) -> np.ndarray:
     """v = W^-1 e for a fresh W ~ W_p(I, dof), exactly in law, without
-    drawing W, for each p x c matrix of the stack ``columns``: e, then at
-    most 3 vectors that the caller reads v through. One generator of
-    ``rngs`` per matrix; returns B x p.
+    drawing W, for each row e of the B x p stack ``e``; one generator of
+    ``rngs`` per row, which draws s, then p normals, then c. Returns B x p.
 
-    Q, an orthonormal basis of the span of the columns, comes from their
-    QR, e = Q r; it has k = min(p, c) columns. Rotated to that basis, the
-    Wishart partition theorem (Anderson, *An Introduction to Multivariate
-    Statistical Analysis*, sec. 7.3) gives Q'v = S^-1 r with
-    S ~ W_k(I, dof - p + k) the Schur complement of the other p - k
-    coordinates, and, independent of S, the rest of v as
-    ||S^-1 r|| g / sqrt(chi^2(dof - p + k + 1)) with g ~ N(0, I - Q Q').
-    So W's p x p factor is never drawn. The caller reads v through those
-    vectors' products with it and ||v||: they come from the solve with S
-    alone, which is the matrix the condition guard checks.
+    With q = e / ||e|| as W's first axis, the Wishart partition theorem
+    with k = 1 (Anderson, *An Introduction to Multivariate Statistical
+    Analysis*, sec. 7.3) gives v = (||e|| / s)(q + g / sqrt(c)): the Schur
+    complement of the other p - 1 axes s ~ chi^2(dof - p + 1) and,
+    independent of it, g ~ N(0, I - q q'), which is q projected out of the
+    p normals, and c ~ chi^2(dof - p + 2). No matrix is drawn or solved,
+    so there is no condition to guard.
     """
-    Q, R = np.linalg.qr(columns)
-    p, k = Q.shape[-2:]
-    factors = np.array([bartlett_factor(k, dof - p + k, rng)
-                        for rng in rngs])
-    a = classify.drawn_root_solve(
-        factors, R[..., 0], "Schur complement of the whitened pooled scatter")
-    v = (Q @ a[..., None])[..., 0]
-    if k < p:
-        g = _normals(rngs, (p,))
-        chi2 = np.array([rng.chisquare(dof - p + k + 1) for rng in rngs])
-        g -= (Q @ (np.swapaxes(Q, -1, -2) @ g[..., None]))[..., 0]
-        v += np.sqrt(classify.row_dot(a, a) / chi2)[:, None] * g
-    return v
+    p = e.shape[-1]
+    s, c = np.empty(len(rngs)), np.empty(len(rngs))
+    g = np.empty((len(rngs), p))
+    for i, rng in enumerate(rngs):
+        s[i] = rng.chisquare(dof - p + 1)
+        rng.standard_normal(out=g[i])
+        c[i] = rng.chisquare(dof - p + 2)
+    norm = np.sqrt(classify.row_dot(e, e))
+    q = e / norm[:, None]
+    g -= classify.row_dot(q, g)[:, None] * q
+    return (norm / s)[:, None] * (q + g / np.sqrt(c)[:, None])
 
 
 def _projected_test(config: ExperimentConfig, mu, stats, rngs

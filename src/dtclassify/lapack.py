@@ -14,15 +14,12 @@ there is one OpenBLAS in the process and this is its one handle.
 Every routine takes the lower triangular factor L of A = L L' in either
 memory order: an F-ordered L is passed as the lower triangle, a C-ordered
 one as the upper triangle L' of the same A = (L')' L', so neither is
-copied. The solves and the condition estimate also take a C-ordered stack
-of factors, one LAPACK call per factor, each the call that factor would
-get alone.
+copied.
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -78,22 +75,17 @@ def set_blas_threads(count: int) -> None:
     _set_threads(count)
 
 
-def _factors(L: np.ndarray) -> tuple[int, bytes, bool, list[int]]:
-    """(n, uplo, flipped, addresses) of a lower triangular factor L of
-    order n in either memory order, or of a C-ordered stack (..., n, n) of
-    them: how LAPACK sees each factor's memory (``flipped`` when it is
-    passed as the upper triangle L') and where each factor starts."""
-    if L.dtype != np.float64 or L.ndim < 2 or L.shape[-1] != L.shape[-2]:
+def _factor(L: np.ndarray) -> tuple[int, bytes, bool, int]:
+    """(n, uplo, flipped, address) of a lower triangular factor L of order
+    n in either memory order: how LAPACK sees its memory (``flipped`` when
+    it is passed as the upper triangle L') and where it starts."""
+    if L.dtype != np.float64 or L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"expected a square float64 matrix, got "
                          f"{L.dtype} of shape {L.shape}")
-    fortran = L.ndim == 2 and L.flags.f_contiguous
+    fortran = L.flags.f_contiguous
     if not (fortran or L.flags.c_contiguous):
         raise ValueError("the matrix must be contiguous")
-    n = L.shape[-1]
-    start, size = L.ctypes.data, n * n * L.itemsize
-    count = math.prod(L.shape[:-2])
-    return (n, b"L" if fortran else b"U", not fortran,
-            [start + i * size for i in range(count)])
+    return L.shape[0], b"L" if fortran else b"U", not fortran, L.ctypes.data
 
 
 def _check(info: _INT, routine: str) -> int:
@@ -111,7 +103,7 @@ def cholesky(a) -> np.ndarray:
     ``numpy.linalg.LinAlgError`` if ``a`` is not positive definite.
     """
     L = np.array(a, dtype=np.float64, order="F")
-    n, uplo, _, (factor,) = _factors(L)
+    n, uplo, _, factor = _factor(L)
     info = _INT()
     _dpotrf(uplo, _INT(n), factor, _INT(max(n, 1)), info, 1)
     if _check(info, "dpotrf"):
@@ -124,65 +116,51 @@ def solve_triangular(L: np.ndarray, b, trans: bool = False) -> np.ndarray:
     """L^-1 b, or L'^-1 b with ``trans``, for a lower triangular L.
 
     dtrtrs on L's own memory; ``b`` is a vector or a matrix of right-hand
-    sides, and a new array of its shape is returned. For a stack of factors
-    (..., n, n), ``b`` holds one right-hand side per factor, (..., n).
-    Raises ``numpy.linalg.LinAlgError`` if L has a zero on its diagonal.
+    sides, and a new array of its shape is returned. Raises
+    ``numpy.linalg.LinAlgError`` if L has a zero on its diagonal.
     """
     return _solves(L, b, (trans,))
 
 
 def cholesky_solve(L: np.ndarray, b) -> np.ndarray:
-    """(L L')^-1 b for a lower triangular L, or a stack as
-    ``solve_triangular`` takes: ``solve_triangular`` with L, then with L',
-    on one copy of ``b``."""
+    """(L L')^-1 b for a lower triangular L: ``solve_triangular`` with L,
+    then with L', on one copy of ``b``."""
     return _solves(L, b, (False, True))
 
 
 def _solves(L: np.ndarray, b, transposes) -> np.ndarray:
-    n, uplo, flipped, factors = _factors(L)
-    stack = L.ndim > 2
-    # a stack's right-hand sides are its rows, each contiguous
-    x = np.array(b, dtype=np.float64, order="C" if stack else "F")
-    if (x.shape != L.shape[:-1] if stack
-            else x.ndim not in (1, 2) or x.shape[0] != n):
+    n, uplo, flipped, factor = _factor(L)
+    x = np.array(b, dtype=np.float64, order="F")
+    if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"right-hand side of shape {x.shape} does not "
-                         f"match factors of shape {L.shape}")
-    nrhs = _INT(1 if x.ndim == 1 or stack else x.shape[1])
+                         f"match a factor of shape {L.shape}")
+    nrhs = _INT(1 if x.ndim == 1 else x.shape[1])
     order, lead, info = _INT(n), _INT(max(n, 1)), _INT()
-    start = x.ctypes.data
-    for i, factor in enumerate(factors):
-        for trans in transposes:
-            _dtrtrs(uplo, b"T" if trans != flipped else b"N", b"N", order,
-                    nrhs, factor, lead, start + i * n * x.itemsize, lead,
-                    info, 1, 1, 1)
-            if _check(info, "dtrtrs"):
-                raise np.linalg.LinAlgError(
-                    f"triangular factor has a zero at diagonal {info.value}")
+    for trans in transposes:
+        _dtrtrs(uplo, b"T" if trans != flipped else b"N", b"N", order, nrhs,
+                factor, lead, x.ctypes.data, lead, info, 1, 1, 1)
+        if _check(info, "dtrtrs"):
+            raise np.linalg.LinAlgError(
+                f"triangular factor has a zero at diagonal {info.value}")
     return x
 
 
-def reciprocal_condition(L: np.ndarray, anorm):
+def reciprocal_condition(L: np.ndarray, anorm: float) -> float:
     """dpocon's estimate of 1 / cond_1(A) for A = L L', from L.
 
     ``anorm`` is ||A||_1, or a bound on it from above, which then lowers
     the estimate by the bound's slack. L is read in place, as for
-    ``solve_triangular``. For a stack of factors (..., n, n), ``anorm``
-    holds one norm per factor and an array of estimates is returned.
+    ``solve_triangular``.
     """
-    n, uplo, _, factors = _factors(L)
-    norms = np.broadcast_to(np.asarray(anorm, dtype=float), L.shape[:-2])
+    n, uplo, _, factor = _factor(L)
     # work, 3n doubles, then iwork, n 64-bit integers, in one buffer
     buffer = np.empty(max(4 * n, 1))
     work = buffer.ctypes.data
-    order, lead, info = _INT(n), _INT(max(n, 1)), _INT()
-    rcond = ctypes.c_double()
-    out = np.empty(len(factors))
-    for i, (factor, norm) in enumerate(zip(factors, norms.flat)):
-        _dpocon(uplo, order, factor, lead, ctypes.c_double(norm), rcond,
-                work, work + 3 * n * 8, info, 1)
-        _check(info, "dpocon")
-        out[i] = rcond.value
-    return out.reshape(L.shape[:-2]) if L.ndim > 2 else float(out[0])
+    rcond, info = ctypes.c_double(), _INT()
+    _dpocon(uplo, _INT(n), factor, _INT(max(n, 1)), ctypes.c_double(anorm),
+            rcond, work, work + 3 * n * 8, info, 1)
+    _check(info, "dpocon")
+    return rcond.value
 
 
 

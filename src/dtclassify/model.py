@@ -17,11 +17,6 @@ from .errors import DomainError
 
 INNOVATION_KINDS = ("normal", "student_t", "gamma_shifted")
 
-# up to this many chi-square draws, ``bartlett_factor`` draws them one by
-# one: the Schur path's factors, at most 4 x 4. A scalar draw takes about
-# 2 us and one array draw about 10 us, whatever its length up to 16
-_SCALAR_DRAWS = 4
-
 
 @dataclass(frozen=True)
 class InnovationSpec:
@@ -148,12 +143,8 @@ def bartlett_factor(p: int, dof: int, rng: np.random.Generator
     T = np.zeros((p, r))
     T[lapack.strictly_lower(p, r)] = rng.standard_normal(
         p * r - r * (r + 1) // 2)
-    # an array of degrees of freedom costs more in argument checks than a
-    # few scalar draws, which take the same variates
-    chi2 = (rng.chisquare(dof - np.arange(r)) if r > _SCALAR_DRAWS
-            else [rng.chisquare(dof - i) for i in range(r)])
     # T[i, i] is entry i (r + 1) of T's rows laid end to end
-    T.reshape(-1)[:r * r:r + 1] = np.sqrt(chi2)
+    T.reshape(-1)[:r * r:r + 1] = np.sqrt(rng.chisquare(dof - np.arange(r)))
     return T
 
 

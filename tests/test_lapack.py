@@ -97,6 +97,11 @@ class TestBindings:
             lapack.reciprocal_condition(L[:, :3].copy(), 1.0)
         with pytest.raises(ValueError, match="square float64"):
             lapack.solve_triangular(L.astype(np.float32), np.ones(4))
+        # one factor per call: a stack of factors is rejected
+        with pytest.raises(ValueError, match="square float64"):
+            lapack.cholesky_solve(np.array([L, L]), np.ones((2, 4)))
+        with pytest.raises(ValueError, match="contiguous"):
+            lapack.solve_triangular(L[::2, ::2], np.ones(2))
 
 
 class TestQR:
@@ -154,29 +159,6 @@ def test_cholesky_solve_is_two_triangular_solves(layout):
     b = np.random.default_rng(3).standard_normal(5)
     two = lapack.solve_triangular(L, lapack.solve_triangular(L, b), trans=True)
     np.testing.assert_array_equal(lapack.cholesky_solve(L, b), two)
-
-
-def test_a_stack_gets_each_factors_own_calls():
-    # the condition estimates and solves of a C-ordered stack of factors
-    # are those of each factor alone, to the bit
-    rng = np.random.default_rng(6)
-    L = np.array([np.tril(rng.standard_normal((4, 4))) + 4.0 * np.eye(4)
-                  for _ in range(5)])
-    b = rng.standard_normal((5, 4))
-    anorm = rng.uniform(1.0, 2.0, 5)
-    rcond = lapack.reciprocal_condition(L, anorm)
-    x = lapack.cholesky_solve(L, b)
-    assert rcond.shape == (5,) and x.shape == (5, 4)
-    for i in range(5):
-        assert rcond[i] == lapack.reciprocal_condition(L[i], anorm[i])
-        np.testing.assert_array_equal(x[i], lapack.cholesky_solve(L[i], b[i]))
-        np.testing.assert_array_equal(
-            lapack.solve_triangular(L, b, trans=True)[i],
-            lapack.solve_triangular(L[i], b[i], trans=True))
-    with pytest.raises(ValueError, match="does not match"):
-        lapack.cholesky_solve(L, b[:, :3])
-    with pytest.raises(ValueError, match="contiguous"):
-        lapack.cholesky_solve(np.asfortranarray(L), b)
 
 
 def test_strictly_lower_mask_is_shared_and_read_only():

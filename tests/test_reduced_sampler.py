@@ -4,13 +4,13 @@ For normal innovations and n1 = n2 a replication is drawn from
 (xbar, ybar, A) and the rules' projections of the test rows
 (``harness.reduced_replication``) instead of from n x p rows
 (``harness.row_replication``). With naive Bayes, A comes from a p x p
-Bartlett factor; without it, the D-rule's A^-1 (xbar - ybar) comes from an
-at most 4 x 4 Schur complement (``harness.whitened_solve``). The samplers
-draw different random numbers, so they are compared in law: the Bartlett
-and Schur draws' moments, each rule's linear form against its statistics
-function, and two-sample tests on the per-replication errors. The reduced
-sampler runs replications in blocks, and a replication's statistics must
-not depend on its block.
+Bartlett factor; without it, the D-rule's A^-1 (xbar - ybar) comes from
+that vector alone, two chi-squares and p normals
+(``harness.whitened_solve``). The samplers draw different random numbers,
+so they are compared in law: the Bartlett and one-vector draws' moments,
+each rule's linear form against its statistics function, and two-sample
+tests on the per-replication errors. The reduced sampler runs replications
+in blocks, and a replication's statistics must not depend on its block.
 """
 
 import numpy as np
@@ -109,8 +109,8 @@ class TestBartlett:
     @pytest.mark.parametrize("p, dof", [(1, 5), (4, 9), (4, 2), (5, 9),
                                         (12, 30)])
     def test_factor_takes_the_array_draws_variates(self, p, dof):
-        # small factors draw their chi-squares one by one, larger ones as
-        # one array; both give the factor built from the array draw
+        # the factor is built from one array draw of its chi-squares, after
+        # its normals, at every size
         r = min(p, dof)
         ref_rng = np.random.default_rng(p + dof)
         expected = np.zeros((p, r))
@@ -124,18 +124,17 @@ class TestBartlett:
 
 
 class TestWhitenedSolve:
-    @pytest.mark.parametrize("p, reads", [(6, 2), (3, 3)],
-                             ids=["tail", "k = p"])
-    def test_exact_moments(self, p, reads):
+    # k = 1: at p = 1 the draw has no tail g
+    @pytest.mark.parametrize("p", [1, 6, 40],
+                             ids=["k = p", "tail", "tail at p = 40"])
+    def test_exact_moments(self, p):
         # W ~ W_p(I, dof): E W^-1 = I / (dof - p - 1) and
         # E W^-2 = (dof - 1) I / ((dof - p)(dof - p - 1)(dof - p - 3))
         rng = np.random.default_rng(21)
-        dof, n = p + 15, 10000
+        dof, n = p + 15, 40000
         e = rng.standard_normal(p)
-        columns = rng.standard_normal((p, reads))
         # one block of n solves, each drawing from the same generator
-        draws = harness.whitened_solve(
-            np.tile(np.column_stack([e, columns]), (n, 1, 1)), dof, [rng] * n)
+        draws = harness.whitened_solve(np.tile(e, (n, 1)), dof, [rng] * n)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - e / (dof - p - 1))
                       < 4.5 * se)
@@ -145,15 +144,32 @@ class TestWhitenedSolve:
         assert abs(norm2.mean() - expected) < \
             4.5 * norm2.std(ddof=1) / np.sqrt(n)
 
+    def test_each_row_draws_s_then_normals_then_c(self):
+        # row i takes chi^2(dof - p + 1), p normals, then chi^2(dof - p + 2)
+        # from its own generator, and builds v = (||e|| / s)(q + g / sqrt(c))
+        p, dof = 5, 12
+        e = np.random.default_rng(2).standard_normal((3, p))
+        v = harness.whitened_solve(e, dof, [np.random.default_rng(r)
+                                            for r in range(3)])
+        for r in range(3):
+            rng = np.random.default_rng(r)
+            s, z = rng.chisquare(dof - p + 1), rng.standard_normal(p)
+            c = rng.chisquare(dof - p + 2)
+            q = e[r] / np.linalg.norm(e[r])
+            g = z - (q @ z) * q
+            np.testing.assert_allclose(
+                v[r], np.linalg.norm(e[r]) / s * (q + g / np.sqrt(c)),
+                rtol=1e-12)
+
     @pytest.mark.parametrize("rules, sizes", [
-        (("d",), [3]), (("d", "t", "oracle"), [4]), (("t", "oracle"), []),
+        (("d",), []), (("d", "t", "oracle"), []), (("t", "oracle"), []),
         (("d", "nb"), [8]), (("nb",), [8]), (RULES, [8]),
     ])
     def test_p_by_p_factor_only_with_naive_bayes(self, monkeypatch, rules,
                                                  sizes):
-        # the Schur draw factors k = 1 + (m, mu2, and Gamma d for T) columns;
-        # the D-rule's guarded solve takes the p x p root only with naive
-        # Bayes, else the k x k Schur root
+        # a Bartlett factor is drawn, and the D-rule's guarded solve run on
+        # it, only with naive Bayes, and then always p x p; without naive
+        # Bayes no matrix is drawn or solved
         seen, solved = [], []
         real_factor = harness.bartlett_factor
         real_solve = classify.drawn_root_solve
@@ -162,9 +178,9 @@ class TestWhitenedSolve:
             seen.append(p)
             return real_factor(p, dof, rng)
 
-        def solve(T, v, *name):  # a stack's factors are each k x k
-            solved.append(T.shape[-2:])
-            return real_solve(T, v, *name)
+        def solve(T, v):
+            solved.append(T.shape)
+            return real_solve(T, v)
 
         monkeypatch.setattr(harness, "bartlett_factor", factor)
         monkeypatch.setattr(classify, "drawn_root_solve", solve)
@@ -194,36 +210,19 @@ class TestWhitenedSolve:
         fixed = [] if config.fixed_mu2 is None else [(8, 1)]
         assert calls == fixed + [(config.reps, 8, 1)] * unmixes
 
-    def test_guard_names_the_schur_complement(self, monkeypatch):
-        # a limit between the condition estimates of replications 0 and 1,
-        # so that in the block of 0, 1 and 2 the first to fail is 1
-        estimates = []
-        real = lapack.reciprocal_condition
-        monkeypatch.setattr(
-            lapack, "reciprocal_condition",
-            lambda L, anorm: estimates.append(1.0 / real(L, anorm))
-            or real(L, anorm))
-        config = config_of(classifiers=("d", "t"), reps=3)
-        harness.reduced_replication(config, range(3))
-        (cond,) = estimates
-        assert cond.shape == (3,) and cond[1] > cond[0]
-        monkeypatch.setattr(covariance, "CONDITION_LIMIT",
-                            (cond[0] + cond[1]) / 2.0)
-        with pytest.raises(ConditioningError,
-                           match="replication 1: Schur complement"):
-            harness.reduced_replication(config, range(3))
-
 
 class TestGoldenCounts:
     """Per-replication counts pinned at commit 9647430.
 
     The reduced sampler's per-call work may change; its draws and results
     may not. These counts are the Bartlett path (every rule, a redrawn
-    delocalized mean, equal correlation), the Schur path (the D-rule alone)
-    and the T-rule alone, as the sampler gave them at that commit, one
-    replication at a time; run as one block, it gives them too. The Schur
-    path under a Sigma that mixes, with a fixed localized and a fixed
-    delocalized mean, is pinned at commit 1bf3c3c.
+    delocalized mean, equal correlation) and the T-rule alone, as the
+    sampler gave them at that commit, one replication at a time; run as
+    one block, it gives them too. The D-rule without naive Bayes, whose
+    direction is drawn from one vector (the cases named ``schur``, after
+    the Schur complement draw they pinned before), is pinned at the commit
+    after d562d3c: alone, and with T and the oracle under a Sigma that
+    mixes, with a fixed localized and a fixed delocalized mean.
     """
 
     CASES = {
@@ -235,25 +234,25 @@ class TestGoldenCounts:
              {"d": (6, 5), "t": (5, 4), "nb": (4, 4), "oracle": (3, 3)},
              {"d": (11, 3), "t": (6, 3), "nb": (6, 3), "oracle": (6, 3)}]),
         "schur": (dict(classifiers=("d",)),
-                  [{"d": (4, 11)}, {"d": (6, 6)}, {"d": (8, 5)},
-                   {"d": (6, 5)}]),
+                  [{"d": (3, 12)}, {"d": (10, 8)}, {"d": (7, 9)},
+                   {"d": (6, 4)}]),
         "t": (dict(classifiers=("t",)),
               [{"t": (4, 8)}, {"t": (5, 6)}, {"t": (5, 4)}, {"t": (2, 4)}]),
         "schur_ar1": (
             dict(covariance=CovarianceSpec.ar1(8, 0.4),
                  classifiers=("d", "t", "oracle")),
-            [{"d": (9, 6), "t": (4, 7), "oracle": (4, 6)},
-             {"d": (8, 4), "t": (7, 4), "oracle": (6, 5)},
-             {"d": (11, 3), "t": (6, 5), "oracle": (6, 6)},
-             {"d": (4, 3), "t": (6, 3), "oracle": (5, 4)}]),
+            [{"d": (9, 7), "t": (5, 7), "oracle": (4, 6)},
+             {"d": (6, 2), "t": (5, 4), "oracle": (7, 4)},
+             {"d": (7, 6), "t": (7, 3), "oracle": (4, 3)},
+             {"d": (7, 6), "t": (7, 5), "oracle": (5, 5)}]),
         "schur_fixed_delocalized": (
             dict(covariance=CovarianceSpec.equal_corr(8, 0.4),
                  scenario=ScenarioSpec("delocalized", 3, redraw_mu2=False),
                  classifiers=("d", "t", "oracle")),
-            [{"d": (9, 5), "t": (3, 6), "oracle": (5, 5)},
-             {"d": (7, 2), "t": (4, 3), "oracle": (6, 4)},
-             {"d": (11, 3), "t": (5, 5), "oracle": (5, 5)},
-             {"d": (5, 12), "t": (4, 4), "oracle": (6, 5)}]),
+            [{"d": (8, 4), "t": (5, 5), "oracle": (8, 3)},
+             {"d": (11, 6), "t": (4, 4), "oracle": (10, 4)},
+             {"d": (6, 5), "t": (5, 2), "oracle": (4, 3)},
+             {"d": (3, 4), "t": (3, 2), "oracle": (2, 3)}]),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -504,11 +503,11 @@ SPECS = {"identity": CovarianceSpec.identity(8),
 GRID = [(kind, scenario) for kind in ("identity", "equal_corr", "ar1")
         for scenario in ("localized", "delocalized")] + [
     ("diagonal", "localized")]
-# without naive Bayes the D-rule's direction comes from the Schur draw, whose
-# basis turns with the redrawn delocalized mean. At p <= 4 the basis spans
-# the whole space (k = p), leaving no tail term. (At p = 2 with three rules
-# the error shares correlate so highly that the Fisher z check's normal-
-# theory sd is about half the bootstrap one, so p = 2 runs the D-rule alone.)
+# without naive Bayes the D-rule's direction comes from the one-vector draw
+# (the grid keeps the name of the Schur draw it replaced), whose vector
+# turns with the redrawn delocalized mean. (At p = 2 with three rules the
+# error shares correlate so highly that the Fisher z check's normal-theory
+# sd is about half the bootstrap one, so p = 2 runs the D-rule alone.)
 SCHUR_GRID = [(kind, "localized" if kind == "diagonal" else "delocalized",
                rules) for kind in ("identity", "equal_corr", "ar1", "diagonal")
               for rules in ("d", "d+t+oracle")] + [
@@ -549,33 +548,40 @@ class TestAgreementInLaw:
 class TestConditioningGuard:
     def test_both_paths_raise_and_simulate_exits_two(self, monkeypatch,
                                                       tmp_path, capsys):
+        # the row path's fitted scatter and the reduced path's p x p
+        # Bartlett factor, which it draws with naive Bayes, are guarded
         monkeypatch.setattr(covariance, "CONDITION_LIMIT", 1.0)
-        config = config_of(classifiers=("d",), reps=2)
-        for path in (harness.row_replication, harness.reduced_replication):
+        row = config_of(classifiers=("d",), reps=2)
+        reduced = config_of(classifiers=("d", "nb"), reps=2)
+        for path, config in ((harness.row_replication, row),
+                             (harness.reduced_replication, reduced)):
             with pytest.raises(ConditioningError, match="replication 1"):
                 path(config, [1])
         ini = tmp_path / "run.ini"
-        ini.write_text("[experiment]\np = 8\nn1 = 15\nn2 = 15\nreps = 2\n"
-                       "seed = 1\n\n[scenario]\nn0 = 3\n\n"
-                       "[classifiers]\nlist = d\n")
-        assert main(["simulate", "--config", str(ini),
-                     "--out", str(tmp_path)]) == 2
+        for rules, code in (("d, nb", 2), ("d", 0)):
+            ini.write_text("[experiment]\np = 8\nn1 = 15\nn2 = 15\n"
+                           "reps = 2\nseed = 1\n\n[scenario]\nn0 = 3\n\n"
+                           f"[classifiers]\nlist = {rules}\n")
+            assert main(["simulate", "--config", str(ini),
+                         "--out", str(tmp_path)]) == code
         assert "replication 0" in capsys.readouterr().err
+        # without naive Bayes the D-rule's direction solves no matrix, so
+        # there is nothing to guard and the reduced path runs
+        (counts,) = harness.reduced_replication(row, [1])
+        assert set(counts) == {"d"}
 
     def test_whitened_guard_is_no_looser_than_the_formed_scatter(
             self, monkeypatch):
         # the norm bound only raises the estimate: a limit just under
         # dpocon's estimate from the formed S = T T' and its exact norm
-        # still trips the guard, for the p x p root and a k x k Schur root
-        for k, name in ((30, "whitened pooled scatter"),
-                        (4, "Schur complement of the whitened pooled "
-                            "scatter")):
-            T = bartlett_factor(k, k + 1, np.random.default_rng(4))
-            S = T @ T.T
-            rcond, _ = dpocon(T, np.abs(S).sum(axis=0).max(), uplo="L")
-            monkeypatch.setattr(covariance, "CONDITION_LIMIT", 0.999 / rcond)
-            with pytest.raises(ConditioningError, match=name):
-                classify.drawn_root_solve(T, np.ones(k), name)
+        # still trips the guard on the p x p root
+        T = bartlett_factor(30, 31, np.random.default_rng(4))
+        S = T @ T.T
+        rcond, _ = dpocon(T, np.abs(S).sum(axis=0).max(), uplo="L")
+        monkeypatch.setattr(covariance, "CONDITION_LIMIT", 0.999 / rcond)
+        with pytest.raises(ConditioningError,
+                           match="whitened pooled scatter"):
+            classify.drawn_root_solve(T, np.ones(30))
 
     def test_ill_conditioned_sigma_stops_only_the_row_path(self, tmp_path):
         # variances 1e-3 .. 1e-14 off the mean shift: A = Gamma W Gamma is

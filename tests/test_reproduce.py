@@ -26,9 +26,9 @@ reproduce_module = importlib.import_module("dtclassify.reproduce")
 
 # Copies of fast targets' CSVs at the default seed and one worker: the
 # tables at ``--reps 50``, fig1 at ``--scale 0.005``. Between them they run
-# the Bartlett and Schur draws, the T-rule-only draw, the theory overlay
-# and the CSV formatting. A change that moves an RNG stream on purpose
-# regenerates them and says so.
+# the Bartlett and one-vector draws, the T-rule-only draw, the theory
+# overlay and the CSV formatting. A change that moves an RNG stream on
+# purpose regenerates them and says so.
 PINNED = Path(__file__).parent / "data" / "reproduce"
 PINNED_RUNS = {"table1": {"table_reps": 50}, "table3": {"table_reps": 50},
                "table4": {"table_reps": 50}, "fig1": {"scale": 0.005}}

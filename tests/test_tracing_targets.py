@@ -74,13 +74,14 @@ def test_traced_reduced_run_records_its_layers():
 
 
 # The reduced sampler's stages, which bench/tracing.LAYERS does not list
-# yet: a block of replications and, inside it, each replication's Schur
-# factor, the block's Schur draw and its guarded solve, its linear forms
-# and its test draw
+# yet: a block of replications and, inside it, the D-rule's one-vector
+# draw, or with naive Bayes each replication's Bartlett scatter with its
+# factor and guarded solve, then the block's linear forms and test draw
 REDUCED_STAGES = (
     ("harness.block_statistics", "dtclassify.harness", "block_statistics"),
-    ("model.bartlett_factor", "dtclassify.model", "bartlett_factor"),
     ("harness.whitened_solve", "dtclassify.harness", "whitened_solve"),
+    ("harness.bartlett_scatter", "dtclassify.harness", "bartlett_scatter"),
+    ("model.bartlett_factor", "dtclassify.model", "bartlett_factor"),
     ("classify.drawn_root_solve", "dtclassify.classify", "drawn_root_solve"),
     ("classify.linear_forms", "dtclassify.classify", "linear_forms"),
     ("harness.draw_test_statistics", "dtclassify.harness",
@@ -90,34 +91,45 @@ REDUCED_STAGES = (
 
 def test_reduced_stages_can_be_traced_inside_each_replication():
     # a tracer given these layers splits the replications' span into the
-    # reduced sampler's stages: per block of replications one Schur draw,
-    # one guarded solve, one set of linear forms and one test draw (both
-    # test groups' statistics come from it), per replication one Schur
-    # factor; and changes no result
-    config = dataclasses.replace(traced_config(p=6, n1=10, n2=10),
-                                 classifiers=("d", "t", "oracle"),
-                                 reps=harness.BLOCK + 2)
-    plain = harness.run_experiment(config)
-    with tracing.Tracer(tracing.LAYERS + REDUCED_STAGES) as tracer:
-        traced = harness.run_experiment(config)
-    for rule, result in plain.classifiers.items():
-        assert (result.per_rep_errors
-                == traced.classifiers[rule].per_rep_errors).all()
-    spans = tracer.spans
+    # reduced sampler's stages, and changes no result: per block of
+    # replications one set of linear forms and one test draw (both test
+    # groups' statistics come from it) and, without naive Bayes, one
+    # one-vector draw with no factor or solve inside it; with naive Bayes,
+    # per replication one Bartlett scatter holding its factor and solve
     blocks = 2
-    inside = {"harness.block_statistics": ("harness.replication", blocks),
-              "model.bartlett_factor": ("harness.whitened_solve",
-                                        config.reps),
-              "harness.whitened_solve": ("harness.block_statistics",
-                                         blocks),
-              "classify.drawn_root_solve": ("harness.whitened_solve", blocks),
-              "classify.linear_forms": ("harness.block_statistics", blocks),
-              "harness.draw_test_statistics": ("harness.block_statistics",
-                                               blocks)}
-    assert set(inside) == {name for name, _, _ in REDUCED_STAGES}
-    for name, (parent, calls) in inside.items():
-        assert tracer.counts[name + ".calls"] == calls, name
-        assert {spans[s[3]][0] for s in spans if s[0] == name} == {parent}
+    for rules, inside in (
+            (("d", "t", "oracle"),
+             {"harness.whitened_solve": ("harness.block_statistics",
+                                         blocks)}),
+            (("d", "nb"),
+             {"harness.bartlett_scatter": ("harness.block_statistics",
+                                           harness.BLOCK + 2),
+              "model.bartlett_factor": ("harness.bartlett_scatter",
+                                        harness.BLOCK + 2),
+              "classify.drawn_root_solve": ("harness.bartlett_scatter",
+                                            harness.BLOCK + 2)})):
+        config = dataclasses.replace(traced_config(p=6, n1=10, n2=10),
+                                     classifiers=rules,
+                                     reps=harness.BLOCK + 2)
+        plain = harness.run_experiment(config)
+        with tracing.Tracer(tracing.LAYERS + REDUCED_STAGES) as tracer:
+            traced = harness.run_experiment(config)
+        for rule, result in plain.classifiers.items():
+            assert (result.per_rep_errors
+                    == traced.classifiers[rule].per_rep_errors).all()
+        spans = tracer.spans
+        inside |= {
+            "harness.block_statistics": ("harness.replication", blocks),
+            "classify.linear_forms": ("harness.block_statistics", blocks),
+            "harness.draw_test_statistics": ("harness.block_statistics",
+                                             blocks)}
+        recorded = {span[0] for span in spans} - {
+            layer for layer, _, _ in tracing.LAYERS}
+        assert recorded == set(inside), rules
+        for name, (parent, calls) in inside.items():
+            assert tracer.counts[name + ".calls"] == calls, name
+            assert {spans[s[3]][0] for s in spans if s[0] == name} \
+                == {parent}
 
 
 def test_traced_reproduce_records_one_experiment_per_grid_point():
