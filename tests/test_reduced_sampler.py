@@ -220,9 +220,9 @@ class TestGoldenCounts:
     sampler gave them at that commit, one replication at a time; run as
     one block, it gives them too. The D-rule without naive Bayes, whose
     direction is drawn from one vector (the cases named ``schur``, after
-    the Schur complement draw they pinned before), is pinned at the commit
-    after d562d3c: alone, and with T and the oracle under a Sigma that
-    mixes, with a fixed localized and a fixed delocalized mean.
+    the Schur complement draw they pinned before), is pinned at commit
+    50742aa: alone, and with T and the oracle under a Sigma that mixes,
+    with a fixed localized and a fixed delocalized mean.
     """
 
     CASES = {
